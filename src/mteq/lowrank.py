@@ -1,8 +1,10 @@
-"""Low-rank factored matrices: formation, factored sums, QR+SVD truncation.
+"""Low-rank factored matrices: formation, factored sums, and truncation.
 
 A matrix is kept as the triple product ``left @ core @ right.T`` and is
 never formed densely unless it is small enough. All operations return new
 objects; instances are treated as immutable and are safe to share.
+Every truncation runs one compression kernel, :func:`truncated_svd`; the
+tall orthonormal bases it works with are applied, never formed.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dormqr
 
 #: Largest number of entries ``densify`` will materialize by default.
 DENSIFY_CAP = 4_000_000
@@ -52,6 +55,9 @@ class LowRankMatrix:
         Set when both ``left`` and ``right`` have orthonormal columns
         (e.g. after a truncation). Zero-width factors are vacuously
         orthonormal.
+    orthonormal_prefix : int
+        Leading columns of both factors known to be orthonormal; set by
+        :func:`factored_sum`, used by truncation.
 
     The zero matrix is represented with zero-width factors; see
     :meth:`zeros`.
@@ -61,6 +67,7 @@ class LowRankMatrix:
     core: np.ndarray
     right: np.ndarray
     orthonormal: bool = False
+    orthonormal_prefix: int = 0
 
     def __post_init__(self):
         left = np.atleast_2d(np.asarray(self.left, dtype=float))
@@ -84,13 +91,6 @@ class LowRankMatrix:
             np.zeros((n_cols, 0)),
             orthonormal=True,
         )
-
-    @classmethod
-    def from_factors(cls, left: np.ndarray, right: np.ndarray) -> "LowRankMatrix":
-        """Two-factor form ``left @ right.T`` with an identity core."""
-        left = np.atleast_2d(np.asarray(left, dtype=float))
-        right = np.atleast_2d(np.asarray(right, dtype=float))
-        return cls(left, np.eye(left.shape[1], right.shape[1]), right)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "LowRankMatrix":
@@ -159,45 +159,76 @@ def select_rank(sigma: np.ndarray, cfg: TruncationConfig) -> int:
     return min(cfg.maxrank, keep)
 
 
-def truncated_svd(
-    left: np.ndarray,
-    core: np.ndarray,
-    right: np.ndarray,
-    cfg: TruncationConfig,
-) -> tuple[LowRankMatrix, np.ndarray]:
-    """QR+SVD truncation of ``left @ core @ right.T``.
+def _exact_side(f: np.ndarray, prefix: int = 0) -> tuple:
+    """``(R, u -> Q @ u)`` of ``f = Q R``; ``Q`` is applied, never formed.
 
-    Returns the truncated matrix (orthonormal factors, diagonal core) and
-    the full singular-value vector of the compressed core, whose Frobenius
-    norm equals the norm of the input matrix.
+    With an orthonormal prefix ``H = f[:, :prefix]`` only the complement
+    ``W`` of the trailing block ``T`` (Gram-Schmidt, twice) is factored:
+    ``[H, T] = [H, Q_W] @ [[I, H.T T], [0, R_W]]``. The map holds ``Q`` as raw
+    Householder reflectors, not ``f``, and applies them with LAPACK's ``ormqr``.
+    """
+    if 0 < prefix < f.shape[1] <= f.shape[0]:
+        head, tail = f[:, :prefix], f[:, prefix:]
+        coeff = head.T @ tail
+        w = tail - head @ coeff
+        again = head.T @ w
+        w -= head @ again
+        r_w, to_w = _exact_side(w)
+        r = np.block([[np.eye(prefix), coeff + again],
+                      [np.zeros((r_w.shape[0], prefix)), r_w]])
+        return r, lambda u: head @ u[:prefix] + to_w(u[prefix:])
+    (h, tau), r = sla.qr(f, mode="raw")
+    reflectors, n_rows = h[:, : tau.size], f.shape[0]
+
+    def to_basis(u: np.ndarray) -> np.ndarray:
+        c = np.zeros((n_rows, u.shape[1]), order="F")
+        c[: u.shape[0]] = u
+        lwork = int(dormqr("L", "N", reflectors, tau, c, -1, overwrite_c=1)[1][0])
+        return dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)[0]
+
+    return r, to_basis
+
+
+def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
+                  cfg: TruncationConfig, prefix: int = 0, sides: tuple = (None, None),
+                  ) -> tuple[LowRankMatrix, np.ndarray]:
+    """The compression kernel: truncation of ``left @ core @ right.T``.
+
+    Each factor ``F`` is reduced to a pair ``(R, u -> K @ u)`` with
+    ``F = K @ R``: by exact QR, whose first ``prefix`` columns are taken as
+    orthonormal, or by the caller's entry in ``sides`` (a sketched QR).
+    One SVD of ``R_l @ core @ R_r.T`` and the rule of ``cfg`` pick the kept
+    singular vectors, and only those are mapped through ``K``.
+
+    Returns the truncated matrix (diagonal core; orthonormal factors when
+    both sides are exact) and the full singular-value vector of the
+    compressed core, whose norm is then the norm of the input.
     """
     n_rows, n_cols = left.shape[0], right.shape[0]
     if left.shape[1] == 0 or right.shape[1] == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), np.zeros(0)
-    ql, rl = sla.qr(left, mode="economic")
-    qr_, rr = sla.qr(right, mode="economic")
-    u, sigma, vt = sla.svd(rl @ core @ rr.T, full_matrices=False)
+    r_l, to_left = sides[0] or _exact_side(left, prefix)
+    r_r, to_right = sides[1] or _exact_side(right, prefix)
+    u, sigma, vt = sla.svd(r_l @ core @ r_r.T, full_matrices=False)
     rank = select_rank(sigma, cfg)
     if rank == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), sigma
     out = LowRankMatrix(
-        ql @ u[:, :rank],
+        to_left(u[:, :rank]),
         np.diag(sigma[:rank]),
-        qr_ @ vt[:rank].T,
-        orthonormal=True,
+        to_right(vt[:rank].T),
+        orthonormal=sides[0] is None and sides[1] is None,
     )
     return out, sigma
 
 
 def truncate(m: LowRankMatrix, cfg: TruncationConfig) -> LowRankMatrix:
-    """Rank-truncate a factored matrix.
+    """Rank-truncate a factored matrix with the exact compression kernel.
 
-    Skinny QR of both factors, SVD of the small compressed core, then the
-    cutoff rule of ``cfg``. The Frobenius truncation error equals the norm
-    of the discarded singular values. A numerically zero input yields the
-    canonical zero matrix.
+    The Frobenius truncation error equals the norm of the discarded singular
+    values. A numerically zero input yields the canonical zero matrix.
     """
-    return truncated_svd(m.left, m.core, m.right, cfg)[0]
+    return truncated_svd(m.left, m.core, m.right, cfg, m.orthonormal_prefix)[0]
 
 
 def factored_sum(
@@ -207,7 +238,8 @@ def factored_sum(
 
     Stacks the factors and block-diagonalizes the cores; no arithmetic on
     the large dimensions is performed. ``coeff_core`` must conform to the
-    inner dimensions of ``p``.
+    inner dimensions of ``p``. An orthonormal ``x`` becomes the result's
+    orthonormal prefix.
     """
     if x.shape != p.shape:
         raise ShapeError(f"outer dimensions differ: {x.shape} vs {p.shape}")
@@ -221,4 +253,5 @@ def factored_sum(
         np.hstack([x.left, p.left]),
         sla.block_diag(x.core, coeff_core),
         np.hstack([x.right, p.right]),
+        orthonormal_prefix=x.rank if x.orthonormal else 0,
     )

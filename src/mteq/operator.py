@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .lowrank import LowRankMatrix, ShapeError
 
@@ -161,9 +160,3 @@ def residual_factored(eq: MultitermEquation, x: LowRankMatrix) -> LowRankMatrix:
         np.hstack([eq.D, right_stack(eq, x.right)]),
     )
 
-
-def as_sparse(matrix) -> sp.csr_matrix:
-    """Normalize a coefficient matrix to CSR (dense input allowed)."""
-    if sp.issparse(matrix):
-        return matrix.tocsr()
-    return sp.csr_matrix(np.asarray(matrix, dtype=float))

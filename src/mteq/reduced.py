@@ -20,12 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lowrank import LowRankMatrix
-from .operator import (
-    MultitermEquation,
-    apply_L,
-    left_stack,
-    right_stack,
-)
+from .operator import MultitermEquation, apply_L, left_stack, right_stack
 
 
 @dataclass(frozen=True)
@@ -57,6 +52,7 @@ class ReducedSystem:
     right-hand side is set by the caller before solving; the Cholesky
     factor of the assembled coefficient matrix is cached so it can be
     reused for a second solve with a different right-hand side.
+    :func:`build_reduced` stores the blocks row index first, for copy-free GEMMs.
     """
 
     left_grams: np.ndarray
@@ -67,50 +63,56 @@ class ReducedSystem:
     _regularized: bool = field(default=False, repr=False)
 
     @property
-    def p(self) -> int:
-        return self.left_grams.shape[0]
-
-    @property
     def q_k(self) -> int:
         return self.left_grams.shape[2]
 
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both tables as ``stack[a, i*p + j, c] = grams[i, j, a, c]``."""
+        qk = self.q_k
+        return tuple(g.transpose(2, 0, 1, 3).reshape(qk, -1, qk)
+                     for g in (self.left_grams, self.right_grams))
+
     def assemble(self) -> np.ndarray:
-        """Dense ``q_k**2 x q_k**2`` Kronecker-sum coefficient matrix."""
-        p, qk = self.p, self.q_k
-        lg = self.left_grams.reshape(p * p, qk, qk)
-        rg = self.right_grams.reshape(p * p, qk, qk)
-        t = np.einsum("xab,xcd->acbd", rg, lg)
+        """Dense ``q_k**2 x q_k**2`` Kronecker-sum coefficient matrix.
+
+        ``sum_ij kron(right_grams[i,j], left_grams[i,j])``, written by a
+        batched GEMM over the ``p**2`` block pairs straight into its layout.
+        """
+        qk = self.q_k
+        lg, rg = self._stacks()
+        t = np.empty((qk, qk, qk, qk))
+        np.matmul(rg.transpose(0, 2, 1)[:, None], lg[None], out=t)
         return t.reshape(qk * qk, qk * qk)
 
     def apply(self, coeff: np.ndarray) -> np.ndarray:
         """Matrix-form action ``sum_ij left_grams[i,j] @ coeff @ right_grams[i,j].T``."""
-        p, qk = self.p, self.q_k
-        lg = self.left_grams.reshape(p * p, qk, qk)
-        rg = self.right_grams.reshape(p * p, qk, qk)
-        tmp = lg @ coeff
-        return np.einsum("xad,xbd->ab", tmp, rg)
+        qk = self.q_k
+        lg, rg = self._stacks()
+        tmp = lg.reshape(-1, qk) @ coeff
+        return tmp.reshape(qk, -1) @ rg.reshape(qk, -1).T
 
 
-def build_reduced(
-    eq: MultitermEquation, p_l: np.ndarray, p_r: np.ndarray
-) -> ReducedSystem:
+def build_reduced(eq: MultitermEquation, p_l: np.ndarray | LowRankMatrix,
+                  p_r: np.ndarray | None = None) -> ReducedSystem:
     """Compute all ``p**2`` Gram blocks for the direction pair.
 
-    Both tables come from a single Gram product of the stacked per-term
-    images, so the cost is one tall skinny syrk per side. Severely
-    rank-deficient direction factors are flagged (the caller may
-    re-orthonormalize) but not rejected.
+    The pair is two factor arrays, or the direction as a
+    :class:`LowRankMatrix` with ``p_r`` omitted. Both tables come from a
+    single Gram product of the stacked per-term images, so the cost is one
+    tall skinny syrk per side. Severely rank-deficient factor arrays are
+    flagged (the caller may re-orthonormalize) but not rejected; a
+    direction marked orthonormal (a truncation output) skips that check.
     """
-    p = eq.p
-    qk = p_l.shape[1]
-    ga = left_stack(eq, p_l)
-    gb = right_stack(eq, p_r)
-    big_l = ga.T @ ga
-    big_r = gb.T @ gb
-    left = big_l.reshape(p, qk, p, qk).transpose(0, 2, 1, 3).copy()
-    right = big_r.reshape(p, qk, p, qk).transpose(0, 2, 1, 3).copy()
+    check_rank = True
+    if isinstance(p_l, LowRankMatrix):
+        check_rank = not p_l.orthonormal
+        p_l, p_r = p_l.left, p_l.right
+    p, qk = eq.p, p_l.shape[1]
+    stacks = [(g.T @ g).reshape(p, qk, p, qk).transpose(1, 0, 2, 3).copy()
+              for g in (left_stack(eq, p_l), right_stack(eq, p_r))]
+    left, right = (s.transpose(1, 2, 0, 3) for s in stacks)
     deficient = False
-    if qk > 0:
+    if qk > 0 and check_rank:
         for factor in (p_l, p_r):
             svals = sla.svdvals(factor)
             if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
@@ -127,17 +129,17 @@ def build_reduced(
 def _projected_adjoint(
     eq: MultitermEquation, p_l: np.ndarray, p_r: np.ndarray, m: LowRankMatrix
 ) -> np.ndarray:
-    """``P_l.T @ (sum_i A_i.T M B_i.T) @ P_r`` evaluated factor-wise."""
+    """``P_l.T @ (sum_i A_i.T M B_i.T) @ P_r`` evaluated factor-wise.
+
+    It is ``G_l.T @ G_r`` on the ``(rank p) x q_k`` stacks
+    ``G_l = M_l.T [A_1 P_l, ...]`` and ``G_r = core M_r.T [B_1.T P_r, ...]``.
+    """
     qk = p_l.shape[1]
     if m.is_zero or qk == 0:
         return np.zeros((qk, p_r.shape[1]))
-    ga = left_stack(eq, p_l)
-    gb = right_stack(eq, p_r)
-    p = eq.p
-    m1 = (ga.T @ m.left).reshape(p, qk, -1)
-    m2 = (gb.T @ m.right).reshape(p, qk, -1)
-    tmp = m1 @ m.core
-    return np.einsum("iab,icb->ac", tmp, m2)
+    g_l = m.left.T @ left_stack(eq, p_l)
+    g_r = m.core @ (m.right.T @ right_stack(eq, p_r))
+    return g_l.reshape(-1, qk).T @ g_r.reshape(-1, qk)
 
 
 def alpha_rhs(
@@ -185,28 +187,26 @@ class _SylvesterPreconditioner:
 
 def _solve_direct(sys: ReducedSystem) -> tuple[np.ndarray, dict]:
     qk = sys.q_k
-    regularized = False
     if sys._chol is None:
         t = sys.assemble()
+        floor = 1e-14 * np.trace(t) / (qk * qk)
         try:
-            chol = ("chol", sla.cho_factor(t))
+            # t is symmetric: LAPACK factors its Fortran-ordered view in place.
+            sys._chol = ("chol", sla.cho_factor(t.T, overwrite_a=True))
         except np.linalg.LinAlgError:
-            floor = 1e-14 * np.trace(t) / (qk * qk)
-            t[np.diag_indices_from(t)] += floor
-            regularized = True
+            sys._regularized = True
             warnings.warn(
                 "projected coefficient matrix is numerically singular; "
                 f"added a diagonal floor of {floor:.3e}",
                 RuntimeWarning,
             )
+            t = sys.assemble()
+            t[np.diag_indices_from(t)] += floor
             try:
-                chol = ("chol", sla.cho_factor(t))
+                sys._chol = ("chol", sla.cho_factor(t))
             except np.linalg.LinAlgError:
                 lam, vecs = sla.eigh(t)
-                lam = np.maximum(lam, floor)
-                chol = ("eigh", (lam, vecs))
-        sys._chol = chol
-        sys._regularized = regularized
+                sys._chol = ("eigh", (np.maximum(lam, floor), vecs))
     tag, data = sys._chol
     rhs_vec = sys.rhs.flatten(order="F")
     if tag == "eigh":

@@ -15,11 +15,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.fft import dct
 
-from .lowrank import LowRankMatrix, TruncationConfig, select_rank, truncated_svd
+from .lowrank import LowRankMatrix, TruncationConfig, truncated_svd
 from .operator import MultitermEquation, residual_factored
 
-#: Condition-number threshold beyond which triangular sketch factors are
-#: inverted through the pseudo-inverse.
+#: Condition-number threshold (LAPACK's 1-norm estimate) beyond which
+#: triangular sketch factors are inverted through the pseudo-inverse.
 PINV_CONDITION = 1e12
 
 
@@ -105,7 +105,7 @@ class SketchPolicy:
         return s_a, s_b
 
 
-def residual_norm_estimate(sigma: np.ndarray, policy: SketchPolicy | None = None) -> float:
+def residual_norm_estimate(sigma: np.ndarray) -> float:
     """Frobenius norm of the (sketched) residual from its full core spectrum.
 
     The estimate is used directly in the stopping test; no inflation
@@ -115,14 +115,20 @@ def residual_norm_estimate(sigma: np.ndarray, policy: SketchPolicy | None = None
     return float(np.linalg.norm(np.asarray(sigma)))
 
 
-def _solve_right_triangular(f: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``f @ inv(r)`` for upper-triangular square ``r``, with a pinv fallback."""
-    if (
-        r.shape[0] != r.shape[1]
-        or np.linalg.cond(r) > PINV_CONDITION
-    ):
-        return f @ np.linalg.pinv(r)
-    return sla.solve_triangular(r.T, f.T, lower=True).T
+def _sketched_side(f: np.ndarray, sketch: SketchOperator | None) -> tuple | None:
+    """``(R_s, u -> f @ inv(R_s) @ u)`` from the skinny QR of ``sketch(f)``.
+
+    The triangle is solved before one GEMM, so ``f inv(R_s)`` is never
+    formed; ``inv`` is ``pinv`` when ``R_s`` is not square or LAPACK's 1-norm
+    condition estimate (``trcon``) exceeds ``PINV_CONDITION``.
+    """
+    if sketch is None:
+        return None
+    r = sla.qr(sketch.apply(f), mode="raw")[1]
+    if r.shape[0] != r.shape[1] or sla.lapack.dtrcon(r)[0] * PINV_CONDITION < 1.0:
+        pinv = np.linalg.pinv(r)
+        return r, lambda u: f @ (pinv @ u)
+    return r, lambda u: f @ sla.solve_triangular(r, u)
 
 
 def sketched_residual_truncate(
@@ -134,48 +140,19 @@ def sketched_residual_truncate(
 ) -> tuple[LowRankMatrix, float]:
     """Truncated factored residual of ``x`` and its Frobenius-norm estimate.
 
-    With both sketches absent this is exactly the plain QR+SVD truncation
-    of the factored residual (bit-identical, and the estimate is the exact
-    norm). With sketches, skinny QR factorizations of the *sketched*
-    factors replace the tall ones: writing the sketched QR triangles
-    ``R_A, R_B``, the residual equals ``K_l @ rho @ K_r.T`` with
-    ``K_l = F_l inv(R_A)``, ``K_r = F_r inv(R_B)`` and the small core
-    ``rho = R_A @ mid @ R_B.T``, whose SVD is truncated as usual. The
-    estimate is the full spectrum norm of ``rho``, i.e. the norm of the
-    sketched residual.
+    A sketched side is reduced by the skinny QR of the *sketched* factor in
+    place of a tall one: with sketched triangles ``R_A, R_B`` the residual
+    is ``K_l @ rho @ K_r.T``, ``K_l = F_l inv(R_A)``, ``K_r = F_r inv(R_B)``
+    and ``rho = R_A @ mid @ R_B.T``; the compression kernel truncates the
+    SVD of ``rho`` and maps only the kept vectors through ``K_l, K_r``. The
+    estimate is the spectrum norm of ``rho``, the sketched residual's norm.
+    Without sketches this is the plain truncation of the factored residual
+    (bit-identical, and the estimate is the exact norm).
 
     Returns the truncated residual and the norm estimate. A numerically
     zero residual gives the canonical zero matrix and estimate ``0.0``.
     """
     m = residual_factored(eq, x)
-    if s_a is None:
-        out, sigma = truncated_svd(m.left, m.core, m.right, cfg)
-        return out, residual_norm_estimate(sigma)
-
-    sl = s_a.apply(m.left)
-    r_a = sla.qr(sl, mode="economic")[1]
-    k_l = _solve_right_triangular(m.left, r_a)
-
-    if s_b is None:
-        rho = r_a @ m.core @ m.right.T
-        u, sigma, vt = sla.svd(rho, full_matrices=False)
-        rank = select_rank(sigma, cfg)
-        if rank == 0:
-            return LowRankMatrix.zeros(*m.shape), residual_norm_estimate(sigma)
-        out = LowRankMatrix(
-            k_l @ u[:, :rank], np.diag(sigma[:rank]), vt[:rank].T
-        )
-        return out, residual_norm_estimate(sigma)
-
-    sr = s_b.apply(m.right)
-    r_b = sla.qr(sr, mode="economic")[1]
-    k_r = _solve_right_triangular(m.right, r_b)
-    rho = r_a @ m.core @ r_b.T
-    u, sigma, vt = sla.svd(rho, full_matrices=False)
-    rank = select_rank(sigma, cfg)
-    if rank == 0:
-        return LowRankMatrix.zeros(*m.shape), residual_norm_estimate(sigma)
-    out = LowRankMatrix(
-        k_l @ u[:, :rank], np.diag(sigma[:rank]), k_r @ vt[:rank].T
-    )
+    sides = (_sketched_side(m.left, s_a), _sketched_side(m.right, s_b))
+    out, sigma = truncated_svd(m.left, m.core, m.right, cfg, sides=sides)
     return out, residual_norm_estimate(sigma)

@@ -210,9 +210,6 @@ def solve(
         r, estimate = sketched_residual_truncate(eq, x, s_a, s_b, cfg.truncation)
     with _Timer(times, "precondition"):
         z = precond.apply(r)
-    if needs_z_truncation:
-        with _Timer(times, "truncation"):
-            z = truncate(z, cfg.truncation)
     with _Timer(times, "truncation"):
         p = truncate(z, cfg.truncation)
 
@@ -231,7 +228,7 @@ def solve(
         infos: list[dict] = []
 
         with _Timer(times, "reduced"):
-            sys = build_reduced(eq, p.left, p.right)
+            sys = build_reduced(eq, p)
             sys.rhs = alpha_rhs(eq, p.left, p.right, r)
             alpha, info = solve_reduced(sys, cfg.inner)
         infos.append(info)
@@ -288,7 +285,7 @@ def solve(
                 p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
         else:
             with _Timer(times, "truncation"):
-                p_next = truncate(z, cfg.truncation)
+                p_next = z if needs_z_truncation else truncate(z, cfg.truncation)
 
         report.ranks.append((x.rank, r.rank, p_next.rank))
         report.inner_pcg_iters.append(_pcg_entry(infos))

@@ -1,0 +1,242 @@
+"""Compression kernel and GEMM projected-system kernels against dense references."""
+
+import weakref
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from mteq import (
+    LowRankMatrix,
+    MultitermEquation,
+    TruncationConfig,
+    alpha_rhs,
+    beta_rhs,
+    build_reduced,
+    factored_sum,
+    make_sketch,
+    sketched_residual_truncate,
+    solve_reduced,
+    truncate,
+)
+from mteq.lowrank import _exact_side, select_rank, truncated_svd
+
+TOL = 1e-12
+
+
+def orthonormal(rng, n, k):
+    return np.linalg.qr(rng.standard_normal((n, k)))[0]
+
+
+def assert_matches_dense_svd(out, sigma, dense, cfg):
+    """Rank, kept spectrum, orthonormality and error against a dense SVD."""
+    ref = np.linalg.svd(dense, compute_uv=False)
+    scale = max(ref[0], 1.0) if ref.size else 1.0
+    rank = select_rank(ref, cfg)
+    assert out.rank == rank
+    assert out.orthonormal
+    np.testing.assert_allclose(np.diag(out.core), ref[:rank], rtol=0, atol=TOL * scale)
+    n = min(sigma.size, ref.size)
+    np.testing.assert_allclose(sigma[:n], ref[:n], rtol=0, atol=TOL * scale)
+    for factor in (out.left, out.right):
+        gram = factor.T @ factor
+        assert np.abs(gram - np.eye(rank)).max() <= TOL
+    err = np.linalg.norm(dense - out.densify())
+    assert err == pytest.approx(np.linalg.norm(ref[rank:]), abs=TOL * scale)
+
+
+def test_generic_input():
+    rng = np.random.default_rng(0)
+    left, right = rng.standard_normal((60, 9)), rng.standard_normal((45, 7))
+    core = rng.standard_normal((9, 7))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=5)
+    out, sigma = truncated_svd(left, core, right, cfg)
+    assert_matches_dense_svd(out, sigma, left @ core @ right.T, cfg)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-8, 1e-12, 0.0])
+def test_orthonormal_prefix_near_its_span(delta):
+    rng = np.random.default_rng(1)
+    n, kx, kp = 80, 6, 4
+    x = truncate(LowRankMatrix(rng.standard_normal((n, kx)), np.diag(2.0 ** -np.arange(kx)),
+                               rng.standard_normal((n, kx))),
+                 TruncationConfig(toltrank=1e-14, maxrank=kx))
+    inside = x.left @ rng.standard_normal((kx, kp))
+    outside = orthonormal(rng, n, kp)
+    outside -= x.left @ (x.left.T @ outside)
+    p = LowRankMatrix(inside + delta * outside, np.eye(kp), orthonormal(rng, n, kp))
+    m = factored_sum(x, p, rng.standard_normal((kp, kp)))
+    assert m.orthonormal_prefix == kx
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=kx + kp)
+    out, sigma = truncated_svd(m.left, m.core, m.right, cfg, m.orthonormal_prefix)
+    assert_matches_dense_svd(out, sigma, m.densify(), cfg)
+    assert np.array_equal(truncate(m, cfg).core, out.core)
+
+
+def test_adi_like_rank_deficient_input():
+    # Shifted solves of one block, as a t-step ADI sweep produces: width 8r
+    # with a rapidly decaying spectrum, numerically rank deficient.
+    rng = np.random.default_rng(2)
+    n, r, steps = 120, 3, 8
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).toarray() * n
+    shifts = np.geomspace(1.0, 2.0, steps)
+    v, w = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    left = np.hstack([np.linalg.solve(lap + s * np.eye(n), v) for s in shifts])
+    right = np.hstack([np.linalg.solve(lap.T + s * np.eye(n), w) for s in shifts])
+    core = np.kron(np.diag(shifts), np.eye(r))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=8 * r)
+    out, sigma = truncated_svd(left, core, right, cfg)
+    dense = left @ core @ right.T
+    assert select_rank(np.linalg.svd(dense, compute_uv=False), cfg) < 8 * r
+    assert_matches_dense_svd(out, sigma, dense, cfg)
+
+
+@pytest.mark.parametrize("prefix", [0, 3])
+def test_short_wide_input(prefix):
+    rng = np.random.default_rng(3)
+    left = np.hstack([orthonormal(rng, 6, 3), rng.standard_normal((6, 7))])
+    right = np.hstack([orthonormal(rng, 8, 3), rng.standard_normal((8, 7))])
+    core = rng.standard_normal((10, 10))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=10)
+    out, sigma = truncated_svd(left, core, right, cfg, prefix)
+    assert_matches_dense_svd(out, sigma, left @ core @ right.T, cfg)
+
+
+def test_rank_zero_inputs():
+    cfg = TruncationConfig()
+    out, sigma = truncated_svd(np.zeros((7, 0)), np.zeros((0, 0)), np.zeros((5, 0)), cfg)
+    assert out.is_zero and out.shape == (7, 5) and sigma.size == 0
+    rng = np.random.default_rng(4)
+    out, sigma = truncated_svd(rng.standard_normal((7, 3)), np.zeros((3, 2)),
+                               rng.standard_normal((5, 2)), cfg)
+    assert out.is_zero and out.shape == (7, 5)
+    assert np.all(sigma == 0.0)
+
+
+def test_exact_side_map_does_not_keep_the_factor_alive():
+    # The prefix path passes its Gram-Schmidt complement, a temporary, as
+    # the factor; the map must let it go before the kept columns are mapped.
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((40, 6))
+    head = f[:, :2].copy()
+    r, to_basis = _exact_side(f)
+    ref = weakref.ref(f)
+    del f
+    assert ref() is None
+    np.testing.assert_allclose(to_basis(np.eye(6)[:, :2]) @ r[:2, :2], head, rtol=0, atol=1e-12)
+
+
+def test_full_size_sketch_matches_exact_residual_truncation():
+    # With s = n the sketch is orthogonal, so the sketched sides reduce the
+    # residual exactly, up to rounding.
+    rng = np.random.default_rng(5)
+    n, p = 70, 2
+    terms = [(sp.csr_matrix(rng.standard_normal((n, n))),
+              sp.csr_matrix(rng.standard_normal((n, n)))) for _ in range(p)]
+    eq = MultitermEquation(terms=terms, C=rng.standard_normal((n, 2)),
+                           D=rng.standard_normal((n, 2)))
+    x = LowRankMatrix(rng.standard_normal((n, 3)), np.eye(3), rng.standard_normal((n, 3)))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=8)
+    exact, est = sketched_residual_truncate(eq, x, None, None, cfg)
+    sketched, est_s = sketched_residual_truncate(
+        eq, x, make_sketch(n, n, seed=1), make_sketch(n, n, seed=2), cfg)
+    assert sketched.rank == exact.rank
+    assert est_s == pytest.approx(est, rel=1e-12)
+    scale = np.linalg.norm(exact.densify())
+    assert np.linalg.norm(sketched.densify() - exact.densify()) <= 1e-10 * scale
+
+
+def nonsymmetric_equation(rng, n_a, n_b, p):
+    terms = [(sp.csr_matrix(rng.standard_normal((n_a, n_a))),
+              sp.csr_matrix(rng.standard_normal((n_b, n_b)))) for _ in range(p)]
+    return MultitermEquation(terms=terms, C=rng.standard_normal((n_a, 1)),
+                             D=rng.standard_normal((n_b, 1)))
+
+
+def dense_terms(eq):
+    return [(a.toarray(), b.toarray()) for a, b in eq.terms]
+
+
+def kron_reference(eq, p_l, p_r):
+    """``sum_ij kron(R_ij, L_ij)`` with explicitly formed Gram blocks."""
+    out = 0.0
+    for a_i, b_i in dense_terms(eq):
+        for a_j, b_j in dense_terms(eq):
+            left = (a_i @ p_l).T @ (a_j @ p_l)
+            right = p_r.T @ b_i @ b_j.T @ p_r
+            out = out + np.kron(right, left)
+    return out
+
+
+def adjoint_reference(eq, p_l, p_r, m):
+    """``P_l.T (sum_i A_i.T M B_i.T) P_r`` on the dense matrix ``m``."""
+    return sum(p_l.T @ a.T @ m @ b.T @ p_r for a, b in dense_terms(eq))
+
+
+def image(eq, m):
+    return sum(a @ m @ b for a, b in dense_terms(eq))
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("qk", [1, 7])
+def test_gemm_kernels_match_explicit_kron_sum(p, qk):
+    rng = np.random.default_rng(10 * p + qk)
+    n_a, n_b = 11, 9
+    eq = nonsymmetric_equation(rng, n_a, n_b, p)
+    p_l, p_r = orthonormal(rng, n_a, qk), orthonormal(rng, n_b, qk)
+    sys = build_reduced(eq, p_l, p_r)
+    t = kron_reference(eq, p_l, p_r)
+    scale = np.abs(t).max()
+    np.testing.assert_allclose(sys.assemble(), t, rtol=0, atol=TOL * scale)
+
+    coeff = rng.standard_normal((qk, qk))
+    expected = (t @ coeff.flatten(order="F")).reshape((qk, qk), order="F")
+    np.testing.assert_allclose(sys.apply(coeff), expected, rtol=0,
+                               atol=TOL * scale * np.abs(coeff).sum())
+
+    # Rectangular cores keep the two factor widths of M distinct.
+    r = LowRankMatrix(rng.standard_normal((n_a, 3)), rng.standard_normal((3, 2)),
+                      rng.standard_normal((n_b, 2)))
+    expected = adjoint_reference(eq, p_l, p_r, r.densify())
+    np.testing.assert_allclose(alpha_rhs(eq, p_l, p_r, r), expected, rtol=0,
+                               atol=TOL * np.abs(expected).max())
+    expected = -adjoint_reference(eq, p_l, p_r, image(eq, r.densify()))
+    np.testing.assert_allclose(beta_rhs(eq, p_l, p_r, r), expected, rtol=0,
+                               atol=TOL * np.abs(expected).max())
+
+
+def test_build_reduced_from_direction_skips_rank_check_only_when_orthonormal():
+    rng = np.random.default_rng(6)
+    eq = nonsymmetric_equation(rng, 10, 10, 2)
+    p_l = orthonormal(rng, 10, 3)
+    p_l[:, 2] = p_l[:, 1]
+    raw = LowRankMatrix(p_l, np.eye(3), orthonormal(rng, 10, 3))
+    with pytest.warns(RuntimeWarning):
+        assert build_reduced(eq, raw).rank_deficient
+    direction = truncate(raw, TruncationConfig())
+    sys = build_reduced(eq, direction)
+    assert not sys.rank_deficient
+    ref = build_reduced(eq, direction.left, direction.right)
+    assert np.array_equal(sys.assemble(), ref.assemble())
+
+
+def test_in_place_factorization_regularizes_a_singular_system():
+    # A zero direction column makes the assembled matrix singular, so the
+    # in-place Cholesky fails and the floor-regularized path runs.
+    rng = np.random.default_rng(7)
+    eq = nonsymmetric_equation(rng, 10, 10, 2)
+    p_l = orthonormal(rng, 10, 3)
+    p_l[:, 2] = 0.0
+    with pytest.warns(RuntimeWarning):
+        sys = build_reduced(eq, p_l, orthonormal(rng, 10, 3))
+    before = sys.assemble()
+    sys.rhs = rng.standard_normal((3, 3))
+    sys.rhs[2] = 0.0
+    with pytest.warns(RuntimeWarning, match="diagonal floor"):
+        coeff, info = solve_reduced(sys)
+    assert info["regularized"]
+    assert np.array_equal(sys.assemble(), before)
+    np.testing.assert_allclose(sys.apply(coeff), sys.rhs, rtol=0,
+                               atol=1e-8 * np.abs(sys.rhs).max())
+    again, _ = solve_reduced(sys)
+    assert np.array_equal(again, coeff)
