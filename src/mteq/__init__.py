@@ -21,9 +21,10 @@ from .operator import (
 )
 from .precond import (
     AdiShifts,
+    NonePreconditioner,
+    OneTermPreconditioner,
     PreconditionerSpec,
-    apply_one_term,
-    apply_two_term_adi,
+    TwoTermAdiPreconditioner,
     build_preconditioner,
     wachspress_shifts,
 )
@@ -68,6 +69,8 @@ __all__ = [
     "IterationInfo",
     "LowRankMatrix",
     "MultitermEquation",
+    "NonePreconditioner",
+    "OneTermPreconditioner",
     "PreconditionerSpec",
     "ReducedSystem",
     "ShapeError",
@@ -76,11 +79,10 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "TruncationConfig",
+    "TwoTermAdiPreconditioner",
     "alpha_rhs",
     "apply_L",
     "apply_Lstar",
-    "apply_one_term",
-    "apply_two_term_adi",
     "beta_rhs",
     "build_convdiff",
     "build_preconditioner",

@@ -26,20 +26,16 @@ class PreconditionerSpec:
     """Selection of the preconditioning strategy.
 
     ``kind`` is one of ``"none"``, ``"one_term"`` or ``"two_term_adi"``.
-    Term indices are zero-based. For ``one_term``, the ``factorized_*``
-    flags control whether that side is actually inverted; disable a side
-    whose coefficient is the identity so its factor passes through
-    untouched. For ``two_term_adi``, ``indices`` names the pair of terms
-    whose left/right coefficients form the Sylvester leading part, and
-    ``shift_source`` is ``"analytic_laplacian"`` (closed-form interval of
-    a scaled 1D Dirichlet second-difference matrix) or ``"estimated"``
-    (power iterations on the symmetric part).
+    Term indices are zero-based. For ``one_term``, ``index`` names the term
+    whose coefficient pair is inverted. For ``two_term_adi``, ``indices``
+    names the pair of terms whose left/right coefficients form the
+    Sylvester leading part, and ``shift_source`` is ``"analytic_laplacian"``
+    (closed-form interval of a scaled 1D Dirichlet second-difference matrix)
+    or ``"estimated"`` (power iterations on the symmetric part).
     """
 
     kind: str = "none"
     index: int = 0
-    factorized_left: bool = True
-    factorized_right: bool = True
     indices: tuple[int, int] = (0, 1)
     t_adi: int = 8
     shift_source: str = "estimated"
@@ -57,15 +53,8 @@ class PreconditionerSpec:
         return cls(kind="none")
 
     @classmethod
-    def one_term(
-        cls, index: int, factorized_left: bool = True, factorized_right: bool = True
-    ) -> "PreconditionerSpec":
-        return cls(
-            kind="one_term",
-            index=index,
-            factorized_left=factorized_left,
-            factorized_right=factorized_right,
-        )
+    def one_term(cls, index: int) -> "PreconditionerSpec":
+        return cls(kind="one_term", index=index)
 
     @classmethod
     def two_term_adi(
@@ -233,83 +222,33 @@ def _splu(matrix) -> spla.SuperLU:
     return spla.splu(sp.csc_matrix(matrix))
 
 
-def _adi_sweep(solve_a, solve_bt, shifts: AdiShifts, r: LowRankMatrix) -> LowRankMatrix:
-    """Factored ADI for ``A Z + Z B = r`` given shifted-solve callables.
-
-    ``solve_a(m, V)`` applies ``(A + right[m] I)^{-1}`` and ``solve_bt(m, W)``
-    applies ``(B.T + left[m] I)^{-1}`` to tall blocks. The iterate is
-    accumulated as a sum of rank-``r`` outer products, one per sweep, so
-    the output width is ``t_adi * rank(r)``.
-    """
-    n_a, n_b = r.shape
-    if r.is_zero:
-        return LowRankMatrix.zeros(n_a, n_b)
-    p_shifts, q_shifts = shifts.left, shifts.right
-    v = solve_a(0, r.left @ r.core)
-    w = solve_bt(0, r.right)
-    lefts = [v]
-    rights = [w]
-    coeffs = [p_shifts[0] + q_shifts[0]]
-    for m in range(1, shifts.t_adi):
-        v = v - (q_shifts[m] + p_shifts[m - 1]) * solve_a(m, v)
-        w = w - (p_shifts[m] + q_shifts[m - 1]) * solve_bt(m, w)
-        lefts.append(v)
-        rights.append(w)
-        coeffs.append(p_shifts[m] + q_shifts[m])
-    rank = r.core.shape[1]
-    core = np.kron(np.diag(coeffs), np.eye(rank))
-    return LowRankMatrix(np.hstack(lefts), core, np.hstack(rights))
-
-
-def apply_one_term(a, b, r: LowRankMatrix, *, solve_left: bool = True,
-                   solve_right: bool = True) -> LowRankMatrix:
-    """Exact inverse of a single coefficient pair: ``A^{-1} r B^{-1}``.
-
-    Factor-wise: the left factor is solved with ``A``, the right factor
-    with ``B.T``, and the core is unchanged, so the rank is preserved. A
-    side whose flag is disabled is passed through bit-for-bit.
-    """
-    left = _splu(a).solve(r.left) if solve_left and not r.is_zero else r.left
-    right = _splu(b.T).solve(r.right) if solve_right and not r.is_zero else r.right
-    return LowRankMatrix(left, r.core, right)
-
-
-def apply_two_term_adi(a, b, shifts: AdiShifts, r: LowRankMatrix) -> LowRankMatrix:
-    """Run ``shifts.t_adi`` factored ADI iterations for ``A Z + Z B = r``.
-
-    Factorizes the shifted matrices on the fly; for repeated applications
-    use :class:`TwoTermAdiPreconditioner`, which caches them.
-    """
-    a_lus = [_splu(a + q * sp.identity(a.shape[0])) for q in shifts.right]
-    bt_lus = [_splu(b.T + p * sp.identity(b.shape[0])) for p in shifts.left]
-    return _adi_sweep(
-        lambda m, v: a_lus[m].solve(v),
-        lambda m, w: bt_lus[m].solve(w),
-        shifts,
-        r,
-    )
+def _identity_deviation(matrix) -> float:
+    """Largest absolute entry of ``matrix - I``."""
+    eye = sp.identity(matrix.shape[0], format=matrix.format) \
+        if sp.issparse(matrix) else np.eye(matrix.shape[0])
+    return float(abs(matrix - eye).max())
 
 
 class NonePreconditioner:
     """Identity preconditioner; returns its argument unchanged."""
-
-    kind = "none"
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         return r
 
 
 class OneTermPreconditioner:
-    """One-pair inverse with factorizations cached at setup."""
+    """Exact inverse of a single coefficient pair: ``r -> A^{-1} r B^{-1}``.
 
-    kind = "one_term"
+    Factor-wise: the left factor is solved with ``A``, the right factor
+    with ``B.T``, and the core is unchanged, so the rank is preserved. Both
+    factorizations are made once, at construction. A side whose coefficient
+    is exactly the identity is not factorized, and its factor passes through
+    untouched.
+    """
 
-    def __init__(self, eq: MultitermEquation, spec: PreconditionerSpec):
-        if not 0 <= spec.index < eq.p:
-            raise ValueError(f"term index {spec.index} outside 0..{eq.p - 1}")
-        a, b = eq.terms[spec.index]
-        self._lu_a = _splu(a) if spec.factorized_left else None
-        self._lu_bt = _splu(b.T) if spec.factorized_right else None
+    def __init__(self, a, b):
+        self._lu_a = None if _identity_deviation(a) == 0.0 else _splu(a)
+        self._lu_bt = None if _identity_deviation(b) == 0.0 else _splu(b.T)
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
@@ -320,59 +259,70 @@ class OneTermPreconditioner:
 
 
 class TwoTermAdiPreconditioner:
-    """Fixed-budget ADI inverse of a Sylvester leading part, ``A X + X B``.
+    """Fixed-budget factored ADI inverse of a Sylvester operator ``X -> A X + X B``.
 
-    Built from two designated terms whose companion coefficients are the
-    identity: the row-side coefficient of the first and the column-side
-    coefficient of the second. Shifted factorizations are computed once;
-    each application costs ``t_adi`` block solves per side and multiplies
-    the rank by at most ``t_adi`` (callers typically truncate after).
+    The shifted factorizations of ``A + right[m] I`` and ``B.T + left[m] I``
+    are made once, at construction. Each application runs ``shifts.t_adi``
+    sweeps, costs ``t_adi`` block solves per side, and accumulates the
+    iterate as a sum of rank-``r`` outer products, one per sweep, so the
+    output width is ``t_adi * rank(r)`` (callers typically truncate after).
     """
 
-    kind = "two_term_adi"
-
-    def __init__(self, eq: MultitermEquation, spec: PreconditionerSpec):
-        i, j = spec.indices
-        if not (0 <= i < eq.p and 0 <= j < eq.p):
-            raise ValueError(f"term indices {spec.indices} outside 0..{eq.p - 1}")
-        a = eq.terms[i][0]
-        b = eq.terms[j][1]
-        for companion, name in ((eq.terms[i][1], "right"), (eq.terms[j][0], "left")):
-            dev = companion - sp.identity(companion.shape[0], format=companion.format) \
-                if sp.issparse(companion) else companion - np.eye(companion.shape[0])
-            dev_norm = abs(dev).max() if sp.issparse(dev) else np.abs(dev).max()
-            if dev_norm > 1e-12:
-                warnings.warn(
-                    f"{name} companion of the designated leading terms deviates "
-                    "from the identity; the ADI preconditioner targets "
-                    "A X + X B and will be inexact",
-                    RuntimeWarning,
-                )
-        if spec.shift_source == "analytic_laplacian":
-            int_a = analytic_laplacian_interval(a)
-            int_b = analytic_laplacian_interval(b)
-        else:
-            int_a = estimated_interval(a)
-            int_b = estimated_interval(b)
-        self.shifts = wachspress_shifts(int_a, int_b, spec.t_adi)
+    def __init__(self, a, b, shifts: AdiShifts):
+        self.shifts = shifts
         eye_a = sp.identity(a.shape[0])
         eye_b = sp.identity(b.shape[0])
-        self._a_lus = [_splu(a + q * eye_a) for q in self.shifts.right]
-        self._bt_lus = [_splu(b.T + p * eye_b) for p in self.shifts.left]
+        self._a_lus = [_splu(a + q * eye_a) for q in shifts.right]
+        self._bt_lus = [_splu(b.T + p * eye_b) for p in shifts.left]
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
-        return _adi_sweep(
-            lambda m, v: self._a_lus[m].solve(v),
-            lambda m, w: self._bt_lus[m].solve(w),
-            self.shifts,
-            r,
-        )
+        if r.is_zero:
+            return LowRankMatrix.zeros(*r.shape)
+        p_shifts, q_shifts = self.shifts.left, self.shifts.right
+        v = self._a_lus[0].solve(r.left @ r.core)
+        w = self._bt_lus[0].solve(r.right)
+        lefts = [v]
+        rights = [w]
+        coeffs = [p_shifts[0] + q_shifts[0]]
+        for m in range(1, self.shifts.t_adi):
+            v = v - (q_shifts[m] + p_shifts[m - 1]) * self._a_lus[m].solve(v)
+            w = w - (p_shifts[m] + q_shifts[m - 1]) * self._bt_lus[m].solve(w)
+            lefts.append(v)
+            rights.append(w)
+            coeffs.append(p_shifts[m] + q_shifts[m])
+        rank = r.core.shape[1]
+        core = np.kron(np.diag(coeffs), np.eye(rank))
+        return LowRankMatrix(np.hstack(lefts), core, np.hstack(rights))
 
 
 def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
-    """Instantiate the preconditioner described by ``spec`` for ``eq``."""
+    """Instantiate the preconditioner described by ``spec`` for ``eq``.
+
+    Checks the term indices against ``eq.p``. For ``two_term_adi``, the
+    leading part is the row-side coefficient of the first designated term
+    and the column-side coefficient of the second; their companion
+    coefficients should be the identity, and a warning is raised when they
+    are not. The shifts come from the spectral intervals named by
+    ``spec.shift_source``.
+    """
     if spec.kind == "none":
         return NonePreconditioner()
+    indices = (spec.index,) if spec.kind == "one_term" else spec.indices
+    if not all(0 <= i < eq.p for i in indices):
+        raise ValueError(f"term indices {indices} outside 0..{eq.p - 1}")
     if spec.kind == "one_term":
-        return OneTermPreconditioner(eq, spec)
-    return TwoTermAdiPreconditioner(eq, spec)
+        return OneTermPreconditioner(*eq.terms[spec.index])
+    i, j = spec.indices
+    a, b = eq.terms[i][0], eq.terms[j][1]
+    for companion, name in ((eq.terms[i][1], "right"), (eq.terms[j][0], "left")):
+        if _identity_deviation(companion) > 1e-12:
+            warnings.warn(
+                f"{name} companion of the designated leading terms deviates "
+                "from the identity; the ADI preconditioner targets "
+                "A X + X B and will be inexact",
+                RuntimeWarning,
+            )
+    interval = analytic_laplacian_interval \
+        if spec.shift_source == "analytic_laplacian" else estimated_interval
+    return TwoTermAdiPreconditioner(
+        a, b, wachspress_shifts(interval(a), interval(b), spec.t_adi))

@@ -103,7 +103,10 @@ def build_convdiff(spec: ConvDiffSpec) -> MultitermEquation:
 
 @dataclass(frozen=True)
 class EquationManifest:
-    """File layout and metadata of an equation stored on disk."""
+    """File layout and metadata of an equation stored on disk.
+
+    Keys of ``manifest.json`` beyond these are ignored on load.
+    """
 
     a_paths: tuple[str, ...]
     b_paths: tuple[str, ...]
@@ -113,7 +116,6 @@ class EquationManifest:
     q: int
     n_A: int
     n_B: int
-    precond_hints: dict | None = None
 
     def to_json(self) -> dict:
         return {
@@ -127,7 +129,6 @@ class EquationManifest:
             "B": list(self.b_paths),
             "C": self.c_path,
             "D": self.d_path,
-            "precond_hints": self.precond_hints,
         }
 
     @classmethod
@@ -142,7 +143,6 @@ class EquationManifest:
                 q=int(data["q"]),
                 n_A=int(data["n_A"]),
                 n_B=int(data["n_B"]),
-                precond_hints=data.get("precond_hints"),
             )
         except KeyError as exc:
             raise ManifestError(f"manifest is missing the {exc} entry") from exc

@@ -14,7 +14,8 @@ larger ones by matrix-form PCG that never assembles it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,24 +44,21 @@ class InnerSolveConfig:
             raise ValueError("thresholds must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedSystem:
     """Gram-block data of one projected system.
 
     ``left_grams[i, j] = P_l.T A_i.T A_j P_l`` and
     ``right_grams[i, j] = P_r.T B_i B_j.T P_r``, each ``q_k x q_k``. The
-    right-hand side is set by the caller before solving; the Cholesky
-    factor of the assembled coefficient matrix is cached so it can be
-    reused for a second solve with a different right-hand side.
+    system is immutable; the right-hand side is an argument of
+    :func:`solve_reduced`, and the factorization of the assembled matrix is
+    made on the first direct solve and reused for every later one.
     :func:`build_reduced` stores the blocks row index first, for copy-free GEMMs.
     """
 
     left_grams: np.ndarray
     right_grams: np.ndarray
-    rhs: np.ndarray | None = None
     rank_deficient: bool = False
-    _chol: tuple | None = field(default=None, repr=False)
-    _regularized: bool = field(default=False, repr=False)
 
     @property
     def q_k(self) -> int:
@@ -90,6 +88,36 @@ class ReducedSystem:
         lg, rg = self._stacks()
         tmp = lg.reshape(-1, qk) @ coeff
         return tmp.reshape(qk, -1) @ rg.reshape(qk, -1).T
+
+    @cached_property
+    def _factor(self) -> tuple:
+        """``(solve, regularized)`` for the assembled system; ``solve`` maps a
+        right-hand side, vectorized column-major, to the solution.
+
+        Cholesky of :meth:`assemble`; if that fails, Cholesky with a small
+        diagonal floor added; if that fails too, an eigendecomposition with
+        the eigenvalues clipped at the floor.
+        """
+        qk = self.q_k
+        t = self.assemble()
+        floor = 1e-14 * np.trace(t) / (qk * qk)
+        try:
+            # t is symmetric: LAPACK factors its Fortran-ordered view in place.
+            return partial(sla.cho_solve, sla.cho_factor(t.T, overwrite_a=True)), False
+        except np.linalg.LinAlgError:
+            warnings.warn(
+                "projected coefficient matrix is numerically singular; "
+                f"added a diagonal floor of {floor:.3e}",
+                RuntimeWarning,
+            )
+        t = self.assemble()
+        t[np.diag_indices_from(t)] += floor
+        try:
+            return partial(sla.cho_solve, sla.cho_factor(t)), True
+        except np.linalg.LinAlgError:
+            lam, vecs = sla.eigh(t)
+            lam = np.maximum(lam, floor)
+            return (lambda b: vecs @ ((vecs.T @ b) / lam)), True
 
 
 def build_reduced(eq: MultitermEquation, p_l: np.ndarray | LowRankMatrix,
@@ -160,82 +188,41 @@ def beta_rhs(
     return -_projected_adjoint(eq, p_l, p_r, apply_L(eq, z))
 
 
-class _SylvesterPreconditioner:
-    """Two-term inner preconditioner applied by generalized eigendecompositions.
+def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
+    """Inverse of ``L_a coeff R_a + L_b coeff R_b``, two diagonal Gram pairs.
 
-    Diagonalizes ``L_a coeff R_a + L_b coeff R_b`` (the two designated
-    diagonal Gram pairs) so each application is two small dense products
-    and an elementwise division.
+    Generalized eigendecompositions diagonalize both sides, so each
+    application is two small dense products and an elementwise division.
     """
+    i, j = terms
+    lam_a, v = sla.eigh(sys.left_grams[i, i], sys.left_grams[j, j])
+    lam_b, w = sla.eigh(sys.right_grams[j, j], sys.right_grams[i, i])
+    denom = lam_a[:, None] + lam_b[None, :]
+    floor = 1e-14 * max(float(np.max(np.abs(denom))), 1.0)
+    denom = np.where(denom > floor, denom, floor)
 
-    def __init__(self, sys: ReducedSystem, terms: tuple[int, int]):
-        i, j = terms
-        la, ra = sys.left_grams[i, i], sys.right_grams[i, i]
-        lb, rb = sys.left_grams[j, j], sys.right_grams[j, j]
-        lam_a, v = sla.eigh(la, lb)
-        lam_b, w = sla.eigh(rb, ra)
-        denom = lam_a[:, None] + lam_b[None, :]
-        floor = 1e-14 * max(float(np.max(np.abs(denom))), 1.0)
-        self._denom = np.where(denom > floor, denom, floor)
-        self._v = v
-        self._w = w
+    def apply(f: np.ndarray) -> np.ndarray:
+        g = v.T @ f @ w
+        return v @ (g / denom) @ w.T
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        g = self._v.T @ f @ self._w
-        return self._v @ (g / self._denom) @ self._w.T
+    return apply
 
 
-def _solve_direct(sys: ReducedSystem) -> tuple[np.ndarray, dict]:
+def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray,
+               cfg: InnerSolveConfig) -> tuple[np.ndarray, dict]:
     qk = sys.q_k
-    if sys._chol is None:
-        t = sys.assemble()
-        floor = 1e-14 * np.trace(t) / (qk * qk)
-        try:
-            # t is symmetric: LAPACK factors its Fortran-ordered view in place.
-            sys._chol = ("chol", sla.cho_factor(t.T, overwrite_a=True))
-        except np.linalg.LinAlgError:
-            sys._regularized = True
-            warnings.warn(
-                "projected coefficient matrix is numerically singular; "
-                f"added a diagonal floor of {floor:.3e}",
-                RuntimeWarning,
-            )
-            t = sys.assemble()
-            t[np.diag_indices_from(t)] += floor
-            try:
-                sys._chol = ("chol", sla.cho_factor(t))
-            except np.linalg.LinAlgError:
-                lam, vecs = sla.eigh(t)
-                sys._chol = ("eigh", (np.maximum(lam, floor), vecs))
-    tag, data = sys._chol
-    rhs_vec = sys.rhs.flatten(order="F")
-    if tag == "eigh":
-        lam, vecs = data
-        x = vecs @ ((vecs.T @ rhs_vec) / lam)
-    else:
-        x = sla.cho_solve(data, rhs_vec)
-    info = {"path": "direct", "pcg_iters": None, "converged": True,
-            "regularized": sys._regularized}
-    return x.reshape((qk, qk), order="F"), info
-
-
-def _solve_pcg(sys: ReducedSystem, cfg: InnerSolveConfig) -> tuple[np.ndarray, dict]:
-    qk = sys.q_k
+    apply_m = lambda f: f  # noqa: E731
     if cfg.inner_precond_terms is not None:
         try:
-            precond = _SylvesterPreconditioner(sys, cfg.inner_precond_terms)
-            apply_m = precond.apply
+            apply_m = _sylvester_inverse(sys, cfg.inner_precond_terms)
         except np.linalg.LinAlgError:
             warnings.warn(
                 "inner preconditioner setup failed; running unpreconditioned CG",
                 RuntimeWarning,
             )
-            apply_m = lambda f: f  # noqa: E731
-    else:
-        apply_m = lambda f: f  # noqa: E731
 
     x = np.zeros((qk, qk))
-    r = sys.rhs.copy()
+    r = rhs.copy()
     rhs_norm = float(np.linalg.norm(r))
     if rhs_norm == 0.0:
         return x, {"path": "pcg", "pcg_iters": 0, "converged": True,
@@ -271,14 +258,16 @@ def _solve_pcg(sys: ReducedSystem, cfg: InnerSolveConfig) -> tuple[np.ndarray, d
 
 
 def solve_reduced(
-    sys: ReducedSystem, cfg: InnerSolveConfig | None = None
+    sys: ReducedSystem, rhs: np.ndarray, cfg: InnerSolveConfig | None = None
 ) -> tuple[np.ndarray, dict]:
     """Solve the projected system for the ``q_k x q_k`` step coefficient.
 
     Parameters
     ----------
     sys : ReducedSystem
-        Gram blocks with ``sys.rhs`` set.
+        Gram blocks of the direction pair.
+    rhs : ndarray, shape (q_k, q_k)
+        Right-hand side, from :func:`alpha_rhs` or :func:`beta_rhs`.
     cfg : InnerSolveConfig, optional
         Path switching and PCG settings.
 
@@ -289,12 +278,14 @@ def solve_reduced(
         ``path`` ("direct" or "pcg"), ``pcg_iters``, ``converged`` and
         ``regularized`` diagnostics.
     """
-    if sys.rhs is None:
-        raise ValueError("set sys.rhs before solving the projected system")
     cfg = cfg or InnerSolveConfig()
-    if sys.q_k == 0:
+    qk = sys.q_k
+    if qk == 0:
         return np.zeros((0, 0)), {"path": "direct", "pcg_iters": None,
                                   "converged": True, "regularized": False}
-    if sys.q_k * sys.q_k < cfg.direct_threshold:
-        return _solve_direct(sys)
-    return _solve_pcg(sys, cfg)
+    if qk * qk >= cfg.direct_threshold:
+        return _solve_pcg(sys, rhs, cfg)
+    solve, regularized = sys._factor
+    coeff = solve(rhs.flatten(order="F")).reshape((qk, qk), order="F")
+    return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
+                   "regularized": regularized}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .lowrank import LowRankMatrix, TruncationConfig, factored_sum, truncate
 from .operator import MultitermEquation, residual_factored
 from .precond import PreconditionerSpec, build_preconditioner
-from .reduced import InnerSolveConfig, ReducedSystem, alpha_rhs, beta_rhs, build_reduced, solve_reduced
+from .reduced import InnerSolveConfig, alpha_rhs, beta_rhs, build_reduced, solve_reduced
 from .sketch import SketchPolicy, sketched_residual_truncate
 
 #: Relative stagnation threshold on the step coefficient.
@@ -57,12 +58,15 @@ class SolverConfig:
 class SolveReport:
     """Per-solve diagnostics mirroring the usual benchmark columns.
 
-    ``residual_estimates`` and ``ranks`` carry one entry for the initial
-    state plus one per iteration (``iterations + 1`` in total); the rank
-    triples are ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one
-    entry per iteration: ``(min, max)`` over that iteration's projected
-    solves when the iterative path ran, else ``None``. Estimates are not
-    guaranteed monotone once truncation is active.
+    ``status`` is ``"converged"``, ``"maxit_reached"`` or ``"stagnated"``
+    (the step coefficient vanished again after a redraw). ``iterations``
+    counts accepted steps; a redraw is not one. ``residual_estimates`` and
+    ``ranks`` carry one entry for the initial state plus one per iteration
+    (``iterations + 1`` in total); the rank triples are
+    ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
+    iteration: ``(min, max)`` over that iteration's projected solves when
+    the iterative path ran, else ``None``. Estimates are not guaranteed
+    monotone once truncation is active.
     """
 
     method: str
@@ -103,7 +107,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class IterationInfo:
-    """Snapshot handed to a solve callback at the end of each iteration."""
+    """Snapshot handed to a solve callback at the end of each iteration.
+
+    ``k`` is the zero-based index of the accepted step. ``Z``, ``P_next``
+    and ``beta`` are ``None`` on the converged iteration, which draws no
+    next direction; ``beta`` is also ``None`` for ``ss_mr``.
+    """
 
     k: int
     X: LowRankMatrix
@@ -116,18 +125,11 @@ class IterationInfo:
     beta: np.ndarray | None = None
 
 
-class _Timer:
-    def __init__(self, times: dict, key: str):
-        self._times = times
-        self._key = key
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self._times[self._key] = self._times.get(self._key, 0.0) + (
-            time.perf_counter() - self._start
-        )
+@contextmanager
+def _timer(times: dict, key: str):
+    start = time.perf_counter()
+    yield
+    times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
 
 
 def true_residual(eq: MultitermEquation, x: LowRankMatrix) -> float:
@@ -182,12 +184,21 @@ def solve(
     Notes
     -----
     The loop stops once the sketched residual-norm estimate falls below
-    ``cfg.tol * ||C D.T||_F`` or after ``cfg.maxit`` iterations, whichever
+    ``cfg.tol * ||C D.T||_F`` or after ``cfg.maxit`` passes, whichever
     comes first; inner-solve trouble is reported through warnings but
     never aborts the iteration. If a step coefficient vanishes relative to
     the accumulated core, the direction is redrawn once from the
-    un-preconditioned residual before giving up.
+    un-preconditioned residual; the redraw uses up a pass. A second
+    vanishing step stops the solve with status ``"stagnated"``. A
+    ``ValueError`` is raised up front when ``cfg.inner.inner_precond_terms``
+    names a term that ``eq`` does not have.
     """
+    terms = cfg.inner.inner_precond_terms
+    if terms is not None and not all(0 <= t < eq.p for t in terms):
+        raise ValueError(
+            f"inner_precond_terms {tuple(terms)} outside the zero-based "
+            f"term indices 0..{eq.p - 1}"
+        )
     times: dict[str, float] = {}
     t_start = time.perf_counter()
     report = SolveReport(method=cfg.method)
@@ -202,98 +213,81 @@ def solve(
     report.sketch_mode = policy.mode
     s_a, s_b = policy.operators(eq.n_A, eq.n_B, cfg.sketch_seed)
 
-    with _Timer(times, "precondition"):
+    with _timer(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
-    needs_z_truncation = cfg.preconditioner.kind == "two_term_adi"
 
-    with _Timer(times, "sketch"):
-        r, estimate = sketched_residual_truncate(eq, x, s_a, s_b, cfg.truncation)
-    with _Timer(times, "precondition"):
-        z = precond.apply(r)
-    with _Timer(times, "truncation"):
-        p = truncate(z, cfg.truncation)
-
-    report.residual_estimates.append(estimate)
-    report.ranks.append((x.rank, r.rank, p.rank))
-
-    if estimate <= cfg.tol * rhs_norm:
-        report.status = "converged"
-        report.wall_times = times | {"total": time.perf_counter() - t_start}
-        if compute_true_residual:
-            report.true_final_residual = true_residual(eq, x)
-        return x, report
-
+    # Pass 0 has no direction yet: it only evaluates the initial residual
+    # and draws the first direction. Each later pass takes one step.
+    p = LowRankMatrix.zeros(eq.n_A, eq.n_B)
     redrawn = False
-    for k in range(cfg.maxit):
+    for k in range(cfg.maxit + 1):
         infos: list[dict] = []
+        if k > 0:
+            with _timer(times, "reduced"):
+                sys = build_reduced(eq, p)
+                alpha, info = solve_reduced(
+                    sys, alpha_rhs(eq, p.left, p.right, r), cfg.inner)
+            infos.append(info)
 
-        with _Timer(times, "reduced"):
-            sys = build_reduced(eq, p)
-            sys.rhs = alpha_rhs(eq, p.left, p.right, r)
-            alpha, info = solve_reduced(sys, cfg.inner)
-        infos.append(info)
-
-        core_scale = float(np.linalg.norm(x.core)) if not x.is_zero else 0.0
-        if np.linalg.norm(alpha) <= STALL_RTOL * core_scale:
-            if redrawn:
+            core_scale = float(np.linalg.norm(x.core)) if not x.is_zero else 0.0
+            if np.linalg.norm(alpha) <= STALL_RTOL * core_scale:
+                if redrawn:
+                    warnings.warn(
+                        "step coefficient vanished twice; stopping early",
+                        RuntimeWarning,
+                    )
+                    report.status = "stagnated"
+                    break
+                redrawn = True
                 warnings.warn(
-                    "step coefficient vanished twice; stopping early",
+                    "step coefficient vanished; redrawing the direction from "
+                    "the un-preconditioned residual",
                     RuntimeWarning,
                 )
-                break
-            redrawn = True
-            warnings.warn(
-                "step coefficient vanished; redrawing the direction from "
-                "the un-preconditioned residual",
-                RuntimeWarning,
-            )
-            with _Timer(times, "truncation"):
-                p = truncate(r, cfg.truncation)
-            continue
+                with _timer(times, "truncation"):
+                    p = truncate(r, cfg.truncation)
+                continue
 
-        with _Timer(times, "truncation"):
-            x = truncate(factored_sum(x, p, alpha), cfg.truncation)
+            with _timer(times, "truncation"):
+                x = truncate(factored_sum(x, p, alpha), cfg.truncation)
+            report.iterations += 1
 
-        with _Timer(times, "sketch"):
+        with _timer(times, "sketch"):
             r, estimate = sketched_residual_truncate(eq, x, s_a, s_b, cfg.truncation)
         report.residual_estimates.append(estimate)
-        report.iterations = k + 1
 
+        z = p_next = beta = None
         if estimate <= cfg.tol * rhs_norm:
             report.status = "converged"
-            report.ranks.append((x.rank, r.rank, p.rank))
+        else:
+            with _timer(times, "precondition"):
+                z = precond.apply(r)
+            # ss_gcr1 recombines z with the direction just used; otherwise z
+            # is the next direction. Wide ADI output is truncated either way.
+            recombine = cfg.method == "ss_gcr1" and k > 0
+            if cfg.preconditioner.kind == "two_term_adi" or not recombine:
+                with _timer(times, "truncation"):
+                    z = truncate(z, cfg.truncation)
+            p_next = z
+            if recombine:
+                with _timer(times, "reduced"):
+                    beta, info = solve_reduced(
+                        sys, beta_rhs(eq, p.left, p.right, z), cfg.inner)
+                infos.append(info)
+                with _timer(times, "truncation"):
+                    p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
+
+        # A converged pass draws no direction: record the one just used.
+        report.ranks.append((x.rank, r.rank, (p if p_next is None else p_next).rank))
+        if k > 0:
             report.inner_pcg_iters.append(_pcg_entry(infos))
             if callback is not None:
                 callback(IterationInfo(
-                    k=k, X=x, R=r, P=p, alpha=alpha, residual_estimate=estimate,
+                    k=report.iterations - 1, X=x, R=r, P=p, alpha=alpha,
+                    residual_estimate=estimate, Z=z, P_next=p_next, beta=beta,
                 ))
+        if report.converged:
             break
-
-        with _Timer(times, "precondition"):
-            z = precond.apply(r)
-        if needs_z_truncation:
-            with _Timer(times, "truncation"):
-                z = truncate(z, cfg.truncation)
-
-        beta = None
-        if cfg.method == "ss_gcr1":
-            with _Timer(times, "reduced"):
-                sys.rhs = beta_rhs(eq, p.left, p.right, z)
-                beta, info = solve_reduced(sys, cfg.inner)
-            infos.append(info)
-            with _Timer(times, "truncation"):
-                p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
-        else:
-            with _Timer(times, "truncation"):
-                p_next = z if needs_z_truncation else truncate(z, cfg.truncation)
-
-        report.ranks.append((x.rank, r.rank, p_next.rank))
-        report.inner_pcg_iters.append(_pcg_entry(infos))
-        if callback is not None:
-            callback(IterationInfo(
-                k=k, X=x, R=r, P=p, alpha=alpha, residual_estimate=estimate,
-                Z=z, P_next=p_next, beta=beta,
-            ))
         p = p_next
 
     report.wall_times = times | {"total": time.perf_counter() - t_start}

@@ -45,3 +45,22 @@ def random_lowrank(rng, n_rows, n_cols, rank):
         rng.standard_normal((rank, rank)),
         rng.standard_normal((n_cols, rank)),
     )
+
+
+def vanish_first_steps(monkeypatch, count):
+    """Make the solver's first ``count`` projected solves return zero coefficients.
+
+    A zero step coefficient is what the solver treats as a vanished step,
+    so this drives its redraw and early-stop paths.
+    """
+    import mteq.solver
+    from mteq.reduced import solve_reduced
+
+    calls = []
+
+    def patched(sys, rhs, cfg=None):
+        coeff, info = solve_reduced(sys, rhs, cfg)
+        calls.append(coeff)
+        return (np.zeros_like(coeff) if len(calls) <= count else coeff), info
+
+    monkeypatch.setattr(mteq.solver, "solve_reduced", patched)

@@ -18,9 +18,9 @@ from mteq import (
     PreconditionerSpec,
     SolverConfig,
     TruncationConfig,
+    TwoTermAdiPreconditioner,
     alpha_rhs,
     apply_L,
-    apply_two_term_adi,
     build_convdiff,
     make_sketch,
     residual_factored,
@@ -283,7 +283,7 @@ def test_criterion_8_adi_quality():
     ib = (np.linalg.eigvalsh(b)[0], np.linalg.eigvalsh(b)[-1])
     r = random_lowrank(rng, n, n, 2)
     shifts = wachspress_shifts(ia, ib, 20)
-    z = apply_two_term_adi(sp.csr_matrix(a), sp.csr_matrix(b), shifts, r)
+    z = TwoTermAdiPreconditioner(sp.csr_matrix(a), sp.csr_matrix(b), shifts).apply(r)
     zd = z.densify()
     rel = np.linalg.norm(a @ zd + zd @ b - r.densify()) / r.norm_fro()
     x_ref = sla.solve_sylvester(a, b, r.densify())

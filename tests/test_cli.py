@@ -9,6 +9,8 @@ import pytest
 from mteq import ConvDiffSpec, build_convdiff, save_manifest
 from mteq.cli import main
 
+from conftest import vanish_first_steps
+
 
 def run_solve(tmp_path, extra=()):
     argv = [
@@ -48,6 +50,25 @@ def test_nonconvergence_exits_3_but_writes_report(tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"]["status"] == "maxit_reached"
+
+
+def test_stagnated_solve_exits_3_but_writes_report(tmp_path, monkeypatch):
+    vanish_first_steps(monkeypatch, 2)
+    with pytest.warns(RuntimeWarning) as caught:
+        code = run_solve(tmp_path)
+    assert any("vanished twice" in str(w.message) for w in caught)
+    assert code == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["result"]["status"] == "stagnated"
+    assert report["result"]["iterations"] == 0
+
+
+@pytest.mark.parametrize("pair", ["0,1", "9,9"])
+def test_inner_precond_terms_out_of_range_exits_2(tmp_path, capsys, pair):
+    code = run_solve(tmp_path, extra=["--inner-precond-terms", pair])
+    assert code == 2
+    assert "inner_precond_terms" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_round_trip(tmp_path):

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 from mteq import (
     LowRankMatrix,
     MultitermEquation,
+    OneTermPreconditioner,
     PreconditionerSpec,
-    apply_one_term,
-    apply_two_term_adi,
+    TwoTermAdiPreconditioner,
     build_preconditioner,
     wachspress_shifts,
 )
@@ -34,7 +34,7 @@ def test_one_term_identity_passthrough():
     rng = np.random.default_rng(0)
     eye = sp.identity(10, format="csr")
     r = random_lowrank(rng, 10, 10, 2)
-    z = apply_one_term(eye, eye, r, solve_left=False, solve_right=False)
+    z = OneTermPreconditioner(eye, eye).apply(r)
     assert z.left is r.left and z.right is r.right
 
 
@@ -43,7 +43,7 @@ def test_one_term_matches_dense_solve():
     a = sp.csr_matrix(random_spd(rng, 12) + 0.1 * rng.standard_normal((12, 12)))
     b = sp.csr_matrix(random_spd(rng, 9) + 0.1 * rng.standard_normal((9, 9)))
     r = random_lowrank(rng, 12, 9, 3)
-    z = apply_one_term(a, b, r)
+    z = OneTermPreconditioner(a, b).apply(r)
     expected = np.linalg.solve(a.toarray(), r.densify()) @ np.linalg.inv(b.toarray())
     np.testing.assert_allclose(z.densify(), expected, atol=1e-10)
     assert z.rank == r.rank
@@ -54,7 +54,7 @@ def test_one_term_right_identity_untouched():
     a = sp.csr_matrix(random_spd(rng, 10))
     eye = sp.identity(10, format="csr")
     r = random_lowrank(rng, 10, 10, 2)
-    z = apply_one_term(a, eye, r, solve_right=False)
+    z = OneTermPreconditioner(a, eye).apply(r)
     assert np.array_equal(z.right, r.right)
     assert np.array_equal(z.core, r.core)
 
@@ -66,7 +66,7 @@ def test_one_term_is_exact_inverse_of_its_term():
     eq = MultitermEquation(terms=[(a, b)], C=rng.standard_normal((11, 2)),
                            D=rng.standard_normal((11, 2)))
     r = random_lowrank(rng, 11, 11, 2)
-    z = apply_one_term(a, b, r)
+    z = OneTermPreconditioner(a, b).apply(r)
     back = a.toarray() @ z.densify() @ b.toarray()
     np.testing.assert_allclose(back, r.densify(), atol=1e-10)
     prec = build_preconditioner(eq, PreconditionerSpec.one_term(0))
@@ -141,7 +141,7 @@ def test_adi_matches_dense_sylvester_oracle():
     ib = (np.linalg.eigvalsh(b)[0], np.linalg.eigvalsh(b)[-1])
     r = random_lowrank(rng, n, n, 2)
     shifts = wachspress_shifts(ia, ib, 20)
-    z = apply_two_term_adi(sp.csr_matrix(a), sp.csr_matrix(b), shifts, r)
+    z = TwoTermAdiPreconditioner(sp.csr_matrix(a), sp.csr_matrix(b), shifts).apply(r)
     x_ref = sla.solve_sylvester(a, b, r.densify())
     zd = z.densify()
     res = np.linalg.norm(a @ zd + zd @ b - r.densify())
@@ -158,17 +158,22 @@ def test_adi_budget_quality_on_benchmark_diffusion():
         analytic_laplacian_interval(a1), analytic_laplacian_interval(b2), 8
     )
     r = eq.rhs_lowrank()
-    z = apply_two_term_adi(a1, b2, shifts, r)
+    z = TwoTermAdiPreconditioner(a1, b2, shifts).apply(r)
     zd = z.densify()
     res = np.linalg.norm(a1 @ zd + zd @ b2.toarray().T - r.densify())
     assert res <= 1e-2 * r.norm_fro()
+    # The spec route picks the same leading pair and shifts.
+    built = build_preconditioner(
+        eq, PreconditionerSpec.two_term_adi(shift_source="analytic_laplacian"))
+    np.testing.assert_array_equal(built.shifts.left, shifts.left)
+    np.testing.assert_array_equal(built.apply(r).densify(), zd)
 
 
 def test_adi_zero_input():
     rng = np.random.default_rng(6)
     a = sp.csr_matrix(random_spd(rng, 10))
     shifts = wachspress_shifts((1.0, 2.0), (1.0, 2.0), 3)
-    z = apply_two_term_adi(a, a, shifts, LowRankMatrix.zeros(10, 10))
+    z = TwoTermAdiPreconditioner(a, a, shifts).apply(LowRankMatrix.zeros(10, 10))
     assert z.is_zero
 
 
@@ -178,7 +183,7 @@ def test_adi_rank_growth_bound():
     r = random_lowrank(rng, 20, 20, 3)
     for t in (1, 4, 6):
         shifts = wachspress_shifts((1.0, 10.0), (1.0, 10.0), t)
-        z = apply_two_term_adi(a, a, shifts, r)
+        z = TwoTermAdiPreconditioner(a, a, shifts).apply(r)
         assert z.rank <= t * r.rank
 
 

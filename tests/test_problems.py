@@ -158,6 +158,19 @@ def test_dimension_mismatch_rejected(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_with_precond_hints_still_loads(tmp_path):
+    # Manifests written before the key was dropped carry "precond_hints".
+    eq = build_convdiff(ConvDiffSpec(n=10, eps=0.1))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    data = json.loads(manifest.read_text())
+    assert "precond_hints" not in data
+    data["precond_hints"] = {"kind": "two_term_adi", "indices": [0, 1]}
+    manifest.write_text(json.dumps(data))
+    loaded = load_manifest(manifest)
+    assert loaded.p == eq.p and loaded.q == eq.q
+    np.testing.assert_array_equal(loaded.C, eq.C)
+
+
 def test_missing_manifest_key_rejected(tmp_path):
     eq = build_convdiff(ConvDiffSpec(n=10, eps=0.1))
     manifest = save_manifest(eq, tmp_path / "eq")

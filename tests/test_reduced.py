@@ -1,5 +1,7 @@
 """Projected systems for the step coefficients against dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from mteq import (
     InnerSolveConfig,
     LowRankMatrix,
     MultitermEquation,
+    ReducedSystem,
     alpha_rhs,
     apply_L,
     apply_Lstar,
@@ -110,8 +113,7 @@ def test_scalar_alpha_reduces_to_minimal_residual_formula():
     v = orthonormal(rng, 8, 1)
     r = LowRankMatrix(u, np.eye(1), v)
     sys = build_reduced(eq, u, v)
-    sys.rhs = alpha_rhs(eq, u, v, r)
-    alpha, _ = solve_reduced(sys)
+    alpha, _ = solve_reduced(sys, alpha_rhs(eq, u, v, r))
     rv = r.densify().flatten(order="F")
     ar = kron.matrix @ rv
     expected = float(ar @ rv) / float(ar @ ar)
@@ -155,8 +157,7 @@ def test_solve_scalar_division():
     u = orthonormal(rng, 8, 1)
     v = orthonormal(rng, 8, 1)
     sys = build_reduced(eq, u, v)
-    sys.rhs = np.array([[1.7]])
-    alpha, info = solve_reduced(sys)
+    alpha, info = solve_reduced(sys, np.array([[1.7]]))
     assert info["path"] == "direct"
     assert alpha[0, 0] == pytest.approx(1.7 / sys.assemble()[0, 0], rel=1e-12)
 
@@ -167,12 +168,12 @@ def test_direct_solution_satisfies_assembled_system():
     p_l = orthonormal(rng, 12, 4)
     p_r = orthonormal(rng, 12, 4)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = rng.standard_normal((4, 4))
-    alpha, info = solve_reduced(sys)
+    rhs = rng.standard_normal((4, 4))
+    alpha, info = solve_reduced(sys, rhs)
     assert info["path"] == "direct"
     t = sys.assemble()
-    res = t @ alpha.flatten(order="F") - sys.rhs.flatten(order="F")
-    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(sys.rhs)
+    res = t @ alpha.flatten(order="F") - rhs.flatten(order="F")
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_direct_and_pcg_paths_agree():
@@ -181,12 +182,12 @@ def test_direct_and_pcg_paths_agree():
     p_l = orthonormal(rng, 14, 5)
     p_r = orthonormal(rng, 14, 5)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = rng.standard_normal((5, 5))
-    direct, info_d = solve_reduced(sys, InnerSolveConfig(direct_threshold=4000))
+    rhs = rng.standard_normal((5, 5))
+    direct, info_d = solve_reduced(sys, rhs, InnerSolveConfig(direct_threshold=4000))
     sys_pcg = build_reduced(eq, p_l, p_r)
-    sys_pcg.rhs = sys.rhs
     pcg, info_p = solve_reduced(
-        sys_pcg, InnerSolveConfig(direct_threshold=1, pcg_tol=1e-6, pcg_maxit=500)
+        sys_pcg, rhs,
+        InnerSolveConfig(direct_threshold=1, pcg_tol=1e-6, pcg_maxit=500),
     )
     assert info_d["path"] == "direct" and info_p["path"] == "pcg"
     assert info_p["converged"]
@@ -199,14 +200,13 @@ def test_pcg_with_two_term_preconditioner():
     p_l = orthonormal(rng, 16, 6)
     p_r = orthonormal(rng, 16, 6)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = rng.standard_normal((6, 6))
+    rhs = rng.standard_normal((6, 6))
     plain, info_plain = solve_reduced(
-        sys, InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500)
+        sys, rhs, InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500)
     )
     sys2 = build_reduced(eq, p_l, p_r)
-    sys2.rhs = sys.rhs
     pre, info_pre = solve_reduced(
-        sys2,
+        sys2, rhs,
         InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500,
                          inner_precond_terms=(0, 1)),
     )
@@ -215,12 +215,23 @@ def test_pcg_with_two_term_preconditioner():
     assert info_pre["pcg_iters"] <= info_plain["pcg_iters"]
 
 
-def test_unset_rhs_rejected():
+def test_system_is_frozen_and_factored_once(monkeypatch):
     rng = np.random.default_rng(15)
     eq = random_posdef_equation(rng, 8, 8, 2, 1)
     sys = build_reduced(eq, orthonormal(rng, 8, 2), orthonormal(rng, 8, 2))
-    with pytest.raises(ValueError):
-        solve_reduced(sys)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys.rank_deficient = True
+    t = sys.assemble()
+    calls = []
+    assemble = ReducedSystem.assemble
+    monkeypatch.setattr(ReducedSystem, "assemble",
+                        lambda self: calls.append(self) or assemble(self))
+    for rhs in rng.standard_normal((2, 2, 2)):
+        coeff, info = solve_reduced(sys, rhs)
+        assert info["path"] == "direct" and not info["regularized"]
+        res = t @ coeff.flatten(order="F") - rhs.flatten(order="F")
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+    assert len(calls) == 1
 
 
 def test_inner_config_validation():
@@ -237,8 +248,7 @@ def test_minimizer_property():
     p_r = orthonormal(rng, 10, 3)
     r = random_lowrank(rng, 10, 10, 2)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = alpha_rhs(eq, p_l, p_r, r)
-    alpha, _ = solve_reduced(sys)
+    alpha, _ = solve_reduced(sys, alpha_rhs(eq, p_l, p_r, r))
 
     def objective(coeff):
         step = LowRankMatrix(p_l, coeff, p_r)
@@ -258,8 +268,7 @@ def test_petrov_galerkin_orthogonality_of_updated_residual():
     p_r = orthonormal(rng, 10, 3)
     r = random_lowrank(rng, 10, 10, 3)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = alpha_rhs(eq, p_l, p_r, r)
-    alpha, _ = solve_reduced(sys)
+    alpha, _ = solve_reduced(sys, alpha_rhs(eq, p_l, p_r, r))
     new_r = LowRankMatrix.from_dense(
         r.densify() - apply_L(eq, LowRankMatrix(p_l, alpha, p_r)).densify()
     )
@@ -275,8 +284,7 @@ def test_direction_orthogonality_after_beta_solve():
     p = LowRankMatrix(p_l, rng.standard_normal((3, 3)), p_r)
     z = random_lowrank(rng, 10, 10, 2)
     sys = build_reduced(eq, p_l, p_r)
-    sys.rhs = beta_rhs(eq, p_l, p_r, z)
-    beta, _ = solve_reduced(sys)
+    beta, _ = solve_reduced(sys, beta_rhs(eq, p_l, p_r, z))
     p_next = LowRankMatrix.from_dense(
         z.densify() + p_l @ beta @ p_r.T
     )

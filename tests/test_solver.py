@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from mteq import (
+    ConvDiffSpec,
+    InnerSolveConfig,
     LowRankMatrix,
     MultitermEquation,
     PreconditionerSpec,
@@ -12,12 +14,13 @@ from mteq import (
     TruncationConfig,
     apply_L,
     apply_Lstar,
+    build_convdiff,
     solve,
     true_residual,
 )
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
-from conftest import random_lowrank, random_posdef_equation
+from conftest import random_lowrank, random_posdef_equation, vanish_first_steps
 
 
 def untruncated_config(n, method="ss_mr", tol=1e-14, maxit=30):
@@ -262,3 +265,62 @@ def test_left_only_sketching_in_full_solve():
     assert rep.sketch_mode == "left_only"
     assert rep.converged
     assert true_residual(eq, x) <= 1e-6
+
+
+def convdiff_config(method, maxit):
+    return SolverConfig(
+        method=method, tol=1e-6, maxit=maxit,
+        truncation=TruncationConfig(toltrank=1e-10, maxrank=50),
+        inner=InnerSolveConfig(inner_precond_terms=(0, 1)),
+        sketch_seed=7,
+        preconditioner=PreconditionerSpec.two_term_adi(
+            indices=(0, 1), t_adi=8, shift_source="analytic_laplacian"),
+    )
+
+
+@pytest.mark.parametrize("method", ["ss_gcr1", "ss_mr"])
+def test_redraw_keeps_report_lengths_and_uses_a_pass(monkeypatch, method):
+    eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
+    vanish_first_steps(monkeypatch, 1)
+    with pytest.warns(RuntimeWarning, match="redrawing the direction") as caught:
+        x, rep = solve(eq, convdiff_config(method, maxit=50))
+    assert len(caught) == 1
+    assert rep.converged
+    assert rep.iterations >= 1
+    assert len(rep.residual_estimates) == rep.iterations + 1
+    assert len(rep.ranks) == rep.iterations + 1
+    assert len(rep.inner_pcg_iters) == rep.iterations
+    assert true_residual(eq, x) <= 1e-6
+
+    # The redraw pass counts against maxit but not as an iteration.
+    vanish_first_steps(monkeypatch, 1)
+    with pytest.warns(RuntimeWarning, match="redrawing the direction"):
+        _, short = solve(eq, convdiff_config(method, maxit=3))
+    assert short.status == "maxit_reached"
+    assert short.iterations == 2
+    assert len(short.residual_estimates) == len(short.ranks) == 3
+    assert len(short.inner_pcg_iters) == 2
+
+
+def test_second_vanishing_step_reports_stagnated(monkeypatch):
+    eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
+    vanish_first_steps(monkeypatch, 2)
+    with pytest.warns(RuntimeWarning) as caught:
+        x, rep = solve(eq, convdiff_config("ss_gcr1", maxit=10))
+    messages = [str(w.message) for w in caught]
+    assert any("redrawing the direction" in m for m in messages)
+    assert any("vanished twice; stopping early" in m for m in messages)
+    assert rep.status == "stagnated"
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert len(rep.residual_estimates) == len(rep.ranks) == 1
+    assert rep.inner_pcg_iters == []
+    assert x.is_zero
+
+
+@pytest.mark.parametrize("terms", [(-1, 0), (9, 9), (0, 4)])
+def test_inner_precond_terms_checked_at_solve_start(terms):
+    eq = build_convdiff(ConvDiffSpec(n=34, eps=0.1))
+    cfg = SolverConfig(inner=InnerSolveConfig(inner_precond_terms=terms))
+    with pytest.raises(ValueError, match="inner_precond_terms"):
+        solve(eq, cfg)
