@@ -18,7 +18,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
+from ._blas import describe, single_pool
 from .lowrank import LowRankMatrix, TruncationConfig
 from .precond import PreconditionerSpec
 from .problems import ConvDiffSpec, build_convdiff, load_manifest
@@ -85,6 +88,14 @@ def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     return i, j
 
 
+def _zero_based(flag: str, indices: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Check 1-based term indices given on the command line; return them zero-based."""
+    if not all(1 <= i <= p for i in indices):
+        typed = ",".join(map(str, indices))
+        raise ValueError(f"{flag} {typed}: term indices run from 1 to {p}")
+    return tuple(i - 1 for i in indices)
+
+
 def _build_problem(args) -> tuple:
     if args.problem == "convdiff":
         eq = build_convdiff(ConvDiffSpec(n=args.n, eps=args.eps))
@@ -103,14 +114,15 @@ def _seed(args) -> int:
     return int(os.environ.get("MTEQ_SEED", "0"))
 
 
-def _build_config(args) -> SolverConfig:
+def _build_config(args, p: int) -> SolverConfig:
+    """Solver configuration from the parsed flags, for an equation with ``p`` terms."""
     inner_terms = args.inner_precond_terms
     if inner_terms is None and args.problem == "convdiff":
         inner_terms = "1,2"
     inner_pair = None
     if inner_terms is not None and inner_terms.lower() != "none":
-        i, j = _parse_pair(inner_terms, "--inner-precond-terms")
-        inner_pair = (i - 1, j - 1)
+        flag = "--inner-precond-terms"
+        inner_pair = _zero_based(flag, _parse_pair(inner_terms, flag), p)
 
     shift_source = args.shift_source
     if shift_source is None:
@@ -118,11 +130,12 @@ def _build_config(args) -> SolverConfig:
     if args.precond == "none":
         precond = PreconditionerSpec.none()
     elif args.precond == "one-term":
-        precond = PreconditionerSpec.one_term(args.precond_index - 1)
+        (index,) = _zero_based("--precond-index", (args.precond_index,), p)
+        precond = PreconditionerSpec.one_term(index)
     else:
-        i, j = _parse_pair(args.precond_terms, "--precond-terms")
+        flag = "--precond-terms"
         precond = PreconditionerSpec.two_term_adi(
-            indices=(i - 1, j - 1),
+            indices=_zero_based(flag, _parse_pair(args.precond_terms, flag), p),
             t_adi=args.adi_iters,
             shift_source=shift_source.replace("-", "_"),
         )
@@ -153,8 +166,12 @@ def _write_history(path: Path, report) -> None:
 
 def _cmd_solve(args) -> int:
     eq, descriptor = _build_problem(args)
-    cfg = _build_config(args)
-    x, report = solve(eq, cfg, compute_true_residual=True)
+    cfg = _build_config(args, eq.p)
+    # solve holds the same pool; entering it here lets the report read the
+    # thread counts the solve runs with.
+    with single_pool():
+        blas = describe()
+        x, report = solve(eq, cfg, compute_true_residual=True)
 
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,6 +187,9 @@ def _cmd_solve(args) -> int:
             "preconditioner": cfg.preconditioner.kind,
         },
         "result": report.as_dict(),
+        "versions": {"mteq": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "blas": blas,
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2))
     _write_history(out_dir / "history.csv", report)

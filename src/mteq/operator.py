@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .lowrank import LowRankMatrix, ShapeError
 
@@ -21,6 +22,12 @@ def _check_square(m, name: str) -> None:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
 
 
+def _check_finite(m, name: str) -> None:
+    values = m.data if sp.issparse(m) else np.asarray(m)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has non-finite entries (inf or NaN)")
+
+
 @dataclass(frozen=True)
 class MultitermEquation:
     """Coefficient pairs ``(A_i, B_i)`` and right-hand-side factors ``C, D``.
@@ -28,7 +35,8 @@ class MultitermEquation:
     ``terms`` is a list of ``p >= 1`` pairs of square matrices (sparse or
     dense); all left coefficients share the dimension ``n_A`` and all right
     coefficients share ``n_B``. ``C`` is ``n_A x q`` and ``D`` is
-    ``n_B x q`` with small ``q``.
+    ``n_B x q`` with small ``q``. A ``ValueError`` naming the factor is
+    raised when any stored entry is infinite or NaN.
     """
 
     terms: tuple
@@ -47,6 +55,8 @@ class MultitermEquation:
         for i, (a, b) in enumerate(terms):
             _check_square(a, f"A_{i + 1}")
             _check_square(b, f"B_{i + 1}")
+            _check_finite(a, f"A_{i + 1}")
+            _check_finite(b, f"B_{i + 1}")
             if a.shape[0] != n_a or b.shape[0] != n_b:
                 raise ShapeError(
                     f"term {i + 1} has shapes {a.shape}, {b.shape}; expected "
@@ -59,6 +69,8 @@ class MultitermEquation:
             )
         if self.C.shape[1] != self.D.shape[1]:
             raise ShapeError("C and D must have the same number of columns")
+        _check_finite(self.C, "C")
+        _check_finite(self.D, "D")
 
     @property
     def p(self) -> int:

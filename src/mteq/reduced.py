@@ -14,7 +14,7 @@ larger ones by matrix-form PCG that never assembles it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -51,14 +51,16 @@ class ReducedSystem:
     ``left_grams[i, j] = P_l.T A_i.T A_j P_l`` and
     ``right_grams[i, j] = P_r.T B_i B_j.T P_r``, each ``q_k x q_k``. The
     system is immutable; the right-hand side is an argument of
-    :func:`solve_reduced`, and the factorization of the assembled matrix is
-    made on the first direct solve and reused for every later one.
+    :func:`solve_reduced`. The factorization of the assembled matrix is
+    made on the first direct solve, and the inner PCG preconditioner for a
+    term pair on the first PCG solve with it; later solves reuse them.
     :func:`build_reduced` stores the blocks row index first, for copy-free GEMMs.
     """
 
     left_grams: np.ndarray
     right_grams: np.ndarray
     rank_deficient: bool = False
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def q_k(self) -> int:
@@ -88,6 +90,13 @@ class ReducedSystem:
         lg, rg = self._stacks()
         tmp = lg.reshape(-1, qk) @ coeff
         return tmp.reshape(qk, -1) @ rg.reshape(qk, -1).T
+
+    def _inner_preconditioner(self, terms: tuple[int, int]):
+        """:func:`_sylvester_inverse` for ``terms``, built once per system."""
+        terms = tuple(terms)
+        if terms not in self._inverses:
+            self._inverses[terms] = _sylvester_inverse(self, terms)
+        return self._inverses[terms]
 
     @cached_property
     def _factor(self) -> tuple:
@@ -214,7 +223,7 @@ def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray,
     apply_m = lambda f: f  # noqa: E731
     if cfg.inner_precond_terms is not None:
         try:
-            apply_m = _sylvester_inverse(sys, cfg.inner_precond_terms)
+            apply_m = sys._inner_preconditioner(cfg.inner_precond_terms)
         except np.linalg.LinAlgError:
             warnings.warn(
                 "inner preconditioner setup failed; running unpreconditioned CG",

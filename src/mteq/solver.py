@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_pool
 from .lowrank import LowRankMatrix, TruncationConfig, factored_sum, truncate
 from .operator import MultitermEquation, residual_factored
 from .precond import PreconditionerSpec, build_preconditioner
@@ -132,6 +133,7 @@ def _timer(times: dict, key: str):
     times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
 
 
+@single_pool()
 def true_residual(eq: MultitermEquation, x: LowRankMatrix) -> float:
     """Exact relative residual ``||C D.T - L(X)||_F / ||C D.T||_F``.
 
@@ -153,6 +155,7 @@ def _pcg_entry(infos: list[dict]) -> tuple[int, int] | None:
     return (min(iters), max(iters))
 
 
+@single_pool()
 def solve(
     eq: MultitermEquation,
     cfg: SolverConfig,
@@ -192,6 +195,10 @@ def solve(
     vanishing step stops the solve with status ``"stagnated"``. A
     ``ValueError`` is raised up front when ``cfg.inner.inner_precond_terms``
     names a term that ``eq`` does not have.
+
+    When numpy and scipy each bundle their own OpenBLAS, numpy's runs at one
+    thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK keeps
+    its own count.
     """
     terms = cfg.inner.inner_precond_terms
     if terms is not None and not all(0 <= t < eq.p for t in terms):

@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
+import mteq
+from mteq import _blas
 from mteq import ConvDiffSpec, build_convdiff, save_manifest
 from mteq.cli import main
 
@@ -26,6 +29,8 @@ def test_solve_writes_report_and_history(tmp_path):
     assert run_solve(tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"]["status"] == "converged"
+    assert report["versions"] == {"mteq": mteq.__version__, "numpy": np.__version__,
+                                  "scipy": scipy.__version__}
     assert report["config"]["maxrank"] == 20
     assert report["problem"] == {"problem": "convdiff", "n": 34, "eps": 0.1}
     with open(tmp_path / "history.csv") as handle:
@@ -67,7 +72,22 @@ def test_stagnated_solve_exits_3_but_writes_report(tmp_path, monkeypatch):
 def test_inner_precond_terms_out_of_range_exits_2(tmp_path, capsys, pair):
     code = run_solve(tmp_path, extra=["--inner-precond-terms", pair])
     assert code == 2
-    assert "inner_precond_terms" in capsys.readouterr().err
+    assert f"--inner-precond-terms {pair}: term indices run from 1 to 4" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--precond-terms", "0,1"],
+    ["--precond-terms", "2,5"],
+    ["--precond", "one-term", "--precond-index", "0"],
+    ["--precond", "one-term", "--precond-index", "5"],
+])
+def test_precond_term_flags_out_of_range_exit_2(tmp_path, capsys, extra):
+    code = run_solve(tmp_path, extra=extra)
+    assert code == 2
+    flag, value = extra[-2:]
+    assert f"{flag} {value}: term indices run from 1 to 4" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -91,6 +111,36 @@ def test_manifest_problem_source(tmp_path):
         "--out-dir", str(tmp_path),
     ])
     assert code == 0
+
+
+def test_report_records_blas_threads_of_the_solve(tmp_path):
+    entry = _blas.describe()
+    assert run_solve(tmp_path) == 0
+    blas = json.loads((tmp_path / "report.json").read_text())["blas"]
+    assert blas.keys() == {"numpy", "scipy"}
+    for name, runtime in _blas.RUNTIMES.items():
+        if runtime is None:
+            assert blas[name] is None
+        else:
+            assert blas[name]["library"] == runtime.path.name
+    if _blas._numpy_pool() is not None:
+        assert blas["numpy"]["threads"] == 1
+        assert blas["scipy"]["threads"] == entry["scipy"]["threads"]
+    assert _blas.describe() == entry
+
+
+def test_manifest_with_non_finite_coefficient_exits_2(tmp_path, capsys):
+    eq = build_convdiff(ConvDiffSpec(n=20, eps=0.1))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    a_2 = manifest.parent / "A_2.mtx"
+    lines = a_2.read_text().splitlines()
+    lines[-1] = " ".join([*lines[-1].split()[:-1], "inf"])
+    a_2.write_text("\n".join(lines) + "\n")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "A_2 has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_manifest_source_requires_path(tmp_path, capsys):

@@ -44,6 +44,28 @@ def test_equation_validation():
                           D=rng.standard_normal((4, 2)))
 
 
+@pytest.mark.parametrize("bad", ["A_3", "B_1", "C", "D", "scaled"])
+def test_non_finite_data_rejected(bad):
+    rng = np.random.default_rng(0)
+    eye = sp.identity(4, format="csr")
+    terms = [(eye.copy(), np.eye(4)) for _ in range(3)]
+    c, d = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
+    if bad == "A_3":
+        terms[2][0].data[1] = np.inf
+    elif bad == "B_1":
+        terms[0][1][2, 3] = np.nan
+    elif bad == "C":
+        c[3, 0] = -np.inf
+    elif bad == "D":
+        d[0, 0] = np.nan
+    else:  # a scaling that overflows
+        with np.errstate(over="ignore"):
+            terms[1] = (eye * 1e308 * 10, np.eye(4))
+    name = "A_2" if bad == "scaled" else bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        MultitermEquation(terms=terms, C=c, D=d)
+
+
 def test_identity_operator_application():
     eq = identity_equation(10)
     rng = np.random.default_rng(1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mteq.reduced
 from mteq import (
     InnerSolveConfig,
     LowRankMatrix,
@@ -232,6 +233,27 @@ def test_system_is_frozen_and_factored_once(monkeypatch):
         res = t @ coeff.flatten(order="F") - rhs.flatten(order="F")
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
     assert len(calls) == 1
+
+
+def test_inner_preconditioner_built_once_per_direction(monkeypatch):
+    rng = np.random.default_rng(17)
+    eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
+    p_l, p_r = orthonormal(rng, 16, 5), orthonormal(rng, 16, 5)
+    r, z = random_lowrank(rng, 16, 16, 2), random_lowrank(rng, 16, 16, 2)
+    cfg = InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500,
+                           inner_precond_terms=(0, 1))
+    calls = []
+    eigh = mteq.reduced.sla.eigh
+    monkeypatch.setattr(mteq.reduced.sla, "eigh",
+                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    sys = build_reduced(eq, p_l, p_r)
+    alpha, info_a = solve_reduced(sys, alpha_rhs(eq, p_l, p_r, r), cfg)
+    beta, info_b = solve_reduced(sys, beta_rhs(eq, p_l, p_r, z), cfg)
+    assert info_a["path"] == info_b["path"] == "pcg"
+    assert len(calls) == 2  # one generalized eigh per side
+    # A fresh system builds the same preconditioner: the reuse is exact.
+    fresh, info = solve_reduced(build_reduced(eq, p_l, p_r), beta_rhs(eq, p_l, p_r, z), cfg)
+    assert np.array_equal(fresh, beta) and info["pcg_iters"] == info_b["pcg_iters"]
 
 
 def test_inner_config_validation():
