@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 #: Largest number of entries ``densify`` will materialize by default.
 DENSIFY_CAP = 4_000_000
+
+#: Columns per compact-WY block of the Householder QR (``nb`` of LAPACK ``geqrt``).
+_QR_BLOCK = 32
 
 
 class ShapeError(ValueError):
@@ -135,15 +138,15 @@ class LowRankMatrix:
         """Frobenius norm, computed from the factors only.
 
         Orthonormal factors reduce to ``||core||_F``; otherwise the factors
-        are compressed by skinny QR first, which avoids the cancellation
-        a Gram-product evaluation would suffer.
+        are compressed to the triangles of their skinny QR first, which
+        avoids the cancellation a Gram-product evaluation would suffer.
         """
         if self.is_zero:
             return 0.0
         if self.orthonormal:
             return float(np.linalg.norm(self.core))
-        rl = sla.qr(self.left, mode="economic")[1]
-        rr = sla.qr(self.right, mode="economic")[1]
+        rl = householder_qr(self.left)[0]
+        rr = householder_qr(self.right)[0]
         return float(np.linalg.norm(rl @ self.core @ rr.T))
 
 
@@ -159,13 +162,36 @@ def select_rank(sigma: np.ndarray, cfg: TruncationConfig) -> int:
     return min(cfg.maxrank, keep)
 
 
+def householder_qr(f: np.ndarray) -> tuple:
+    """``(R, u -> Q @ u)`` of ``f = Q R`` by LAPACK's compact-WY QR, ``geqrt``.
+
+    ``R`` is the ``min(m, n) x n`` upper trapezoid, with ``geqrf``'s sign
+    rule. The map holds the Householder reflectors and the block triangles
+    ``T``, never ``f``, and applies them with ``gemqrt``; a caller that needs
+    only ``R`` drops it. Raises ``ValueError`` when ``f`` holds inf or NaN.
+    """
+    f = np.asarray_chkfinite(f, dtype=float)
+    (n_rows, n_cols), k = f.shape, min(f.shape)
+    if k == 0:
+        return np.zeros((0, n_cols)), lambda u: np.zeros((n_rows, u.shape[1]))
+    a, t, _ = dgeqrt(min(_QR_BLOCK, k), f)
+    reflectors = a[:, :k]
+
+    def to_basis(u: np.ndarray) -> np.ndarray:
+        c = np.zeros((n_rows, u.shape[1]), order="F")
+        c[: u.shape[0]] = u
+        return dgemqrt(reflectors, t, c, overwrite_c=1)[0]
+
+    return np.triu(a[:k]), to_basis
+
+
 def _exact_side(f: np.ndarray, prefix: int = 0) -> tuple:
     """``(R, u -> Q @ u)`` of ``f = Q R``; ``Q`` is applied, never formed.
 
     With an orthonormal prefix ``H = f[:, :prefix]`` only the complement
     ``W`` of the trailing block ``T`` (Gram-Schmidt, twice) is factored:
-    ``[H, T] = [H, Q_W] @ [[I, H.T T], [0, R_W]]``. The map holds ``Q`` as raw
-    Householder reflectors, not ``f``, and applies them with LAPACK's ``ormqr``.
+    ``[H, T] = [H, Q_W] @ [[I, H.T T], [0, R_W]]``. Otherwise this is
+    :func:`householder_qr` of ``f``.
     """
     if 0 < prefix < f.shape[1] <= f.shape[0]:
         head, tail = f[:, :prefix], f[:, prefix:]
@@ -177,16 +203,7 @@ def _exact_side(f: np.ndarray, prefix: int = 0) -> tuple:
         r = np.block([[np.eye(prefix), coeff + again],
                       [np.zeros((r_w.shape[0], prefix)), r_w]])
         return r, lambda u: head @ u[:prefix] + to_w(u[prefix:])
-    (h, tau), r = sla.qr(f, mode="raw")
-    reflectors, n_rows = h[:, : tau.size], f.shape[0]
-
-    def to_basis(u: np.ndarray) -> np.ndarray:
-        c = np.zeros((n_rows, u.shape[1]), order="F")
-        c[: u.shape[0]] = u
-        lwork = int(dormqr("L", "N", reflectors, tau, c, -1, overwrite_c=1)[1][0])
-        return dormqr("L", "N", reflectors, tau, c, lwork, overwrite_c=1)[0]
-
-    return r, to_basis
+    return householder_qr(f)
 
 
 def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,

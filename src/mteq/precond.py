@@ -4,7 +4,9 @@ A one-term preconditioner inverts a single coefficient pair exactly through
 cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters derived
-from spectral intervals of the two coefficients.
+from spectral intervals of the two coefficients. A coefficient whose band
+is narrow next to its nonzeros is factored by LAPACK's banded LU, any other
+by SuperLU.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .lowrank import LowRankMatrix
 from .operator import MultitermEquation
@@ -165,12 +168,14 @@ def analytic_laplacian_interval(matrix) -> tuple[float, float]:
 
 
 def estimated_interval(
-    matrix, iters: int = 20, tol: float = 1e-2, inflation: float = 1.05, seed: int = 0
+    matrix, iters: int = 20, tol: float = 1e-2, inflation: float = 1.05, seed: int = 0,
+    name: str = "A",
 ) -> tuple[float, float]:
     """Spectral interval of the symmetric part by power/inverse-power iteration.
 
     The endpoints are widened by ``inflation`` for safety; shift quality
-    degrades gracefully with loose intervals.
+    degrades gracefully with loose intervals. A singular symmetric part
+    raises ``ValueError`` naming the coefficient as ``name``.
     """
     n = matrix.shape[0]
     sym = 0.5 * (matrix + matrix.T)
@@ -192,7 +197,7 @@ def estimated_interval(
             break
         lam_hi = lam
 
-    lu = spla.splu(sym_csc)
+    lu = _factor(sym_csc, f"the symmetric part of {name}")
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam_lo = 0.0
@@ -218,8 +223,45 @@ def estimated_interval(
         hi * inflation if hi > 0 else hi / inflation
 
 
-def _splu(matrix) -> spla.SuperLU:
-    return spla.splu(sp.csc_matrix(matrix))
+class _BandedLU:
+    """LAPACK banded LU (``gbtrf``) of a matrix with ``kl`` sub- and ``ku``
+    super-diagonals, solved through ``gbtrs``."""
+
+    def __init__(self, coo: sp.coo_matrix, kl: int, ku: int):
+        band = np.zeros((2 * kl + ku + 1, coo.shape[1]), order="F")
+        band[kl + ku + coo.row - coo.col, coo.col] = coo.data
+        self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"gbtrf: U[{info - 1}, {info - 1}] is exactly zero")
+        self._kl, self._ku = kl, ku
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
+
+
+def _factor(matrix, label: str):
+    """LU factors of a square matrix, solved through ``.solve(b)``.
+
+    A matrix whose band storage, ``(2 kl + ku + 1) n`` entries, is at most
+    twice its nonzeros (diagonal, tri- and pentadiagonal ones) goes to
+    LAPACK's banded LU; any other, such as a 2D stencil, to SuperLU. A
+    singular matrix raises ``ValueError`` naming it as ``label``.
+    """
+    coo = sp.coo_matrix(matrix)
+    coo.sum_duplicates()  # the band is filled by assignment
+    offsets = coo.col - coo.row
+    kl, ku = max(-offsets.min(initial=0), 0), max(offsets.max(initial=0), 0)
+    try:
+        if (2 * kl + ku + 1) * coo.shape[1] <= 2 * coo.nnz:
+            return _BandedLU(coo, kl, ku)
+        return spla.splu(coo.tocsc())
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # SuperLU raises RuntimeError
+        raise ValueError(
+            f"{label} is singular; the preconditioner cannot factor it") from exc
+
+
+def _shifted(name: str, shift: float) -> str:
+    return f"{name} + q I at ADI shift q = {shift:.6g}"
 
 
 def _identity_deviation(matrix) -> float:
@@ -243,12 +285,14 @@ class OneTermPreconditioner:
     with ``B.T``, and the core is unchanged, so the rank is preserved. Both
     factorizations are made once, at construction. A side whose coefficient
     is exactly the identity is not factorized, and its factor passes through
-    untouched.
+    untouched. A singular coefficient raises ``ValueError`` naming it by
+    ``names``.
     """
 
-    def __init__(self, a, b):
-        self._lu_a = None if _identity_deviation(a) == 0.0 else _splu(a)
-        self._lu_bt = None if _identity_deviation(b) == 0.0 else _splu(b.T)
+    def __init__(self, a, b, names: tuple[str, str] = ("A", "B")):
+        self._lu_a = None if _identity_deviation(a) == 0.0 else _factor(a, names[0])
+        self._lu_bt = None if _identity_deviation(b) == 0.0 \
+            else _factor(b.T, f"{names[1]}^T")
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
@@ -266,14 +310,17 @@ class TwoTermAdiPreconditioner:
     sweeps, costs ``t_adi`` block solves per side, and accumulates the
     iterate as a sum of rank-``r`` outer products, one per sweep, so the
     output width is ``t_adi * rank(r)`` (callers typically truncate after).
+    A singular shifted matrix raises ``ValueError`` naming the coefficient
+    by ``names`` and giving the shift.
     """
 
-    def __init__(self, a, b, shifts: AdiShifts):
+    def __init__(self, a, b, shifts: AdiShifts, names: tuple[str, str] = ("A", "B")):
         self.shifts = shifts
         eye_a = sp.identity(a.shape[0])
         eye_b = sp.identity(b.shape[0])
-        self._a_lus = [_splu(a + q * eye_a) for q in shifts.right]
-        self._bt_lus = [_splu(b.T + p * eye_b) for p in shifts.left]
+        self._a_lus = [_factor(a + q * eye_a, _shifted(names[0], q)) for q in shifts.right]
+        self._bt_lus = [_factor(b.T + p * eye_b, _shifted(f"{names[1]}^T", p))
+                        for p in shifts.left]
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
@@ -303,7 +350,8 @@ def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
     and the column-side coefficient of the second; their companion
     coefficients should be the identity, and a warning is raised when they
     are not. The shifts come from the spectral intervals named by
-    ``spec.shift_source``.
+    ``spec.shift_source``. Errors name the coefficients one-based, as
+    :class:`MultitermEquation` does (``A_1``, ``B_2``).
     """
     if spec.kind == "none":
         return NonePreconditioner()
@@ -311,9 +359,11 @@ def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
     if not all(0 <= i < eq.p for i in indices):
         raise ValueError(f"term indices {indices} outside 0..{eq.p - 1}")
     if spec.kind == "one_term":
-        return OneTermPreconditioner(*eq.terms[spec.index])
+        k = spec.index + 1
+        return OneTermPreconditioner(*eq.terms[spec.index], names=(f"A_{k}", f"B_{k}"))
     i, j = spec.indices
     a, b = eq.terms[i][0], eq.terms[j][1]
+    names = (f"A_{i + 1}", f"B_{j + 1}")
     for companion, name in ((eq.terms[i][1], "right"), (eq.terms[j][0], "left")):
         if _identity_deviation(companion) > 1e-12:
             warnings.warn(
@@ -322,7 +372,9 @@ def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
                 "A X + X B and will be inexact",
                 RuntimeWarning,
             )
-    interval = analytic_laplacian_interval \
-        if spec.shift_source == "analytic_laplacian" else estimated_interval
+    if spec.shift_source == "analytic_laplacian":
+        intervals = analytic_laplacian_interval(a), analytic_laplacian_interval(b)
+    else:
+        intervals = estimated_interval(a, name=names[0]), estimated_interval(b, name=names[1])
     return TwoTermAdiPreconditioner(
-        a, b, wachspress_shifts(interval(a), interval(b), spec.t_adi))
+        a, b, wachspress_shifts(*intervals, spec.t_adi), names=names)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.fft import dct
 
-from .lowrank import LowRankMatrix, TruncationConfig, truncated_svd
+from .lowrank import LowRankMatrix, TruncationConfig, householder_qr, truncated_svd
 from .operator import MultitermEquation, residual_factored
 
 #: Condition-number threshold (LAPACK's 1-norm estimate) beyond which
@@ -124,7 +124,7 @@ def _sketched_side(f: np.ndarray, sketch: SketchOperator | None) -> tuple | None
     """
     if sketch is None:
         return None
-    r = sla.qr(sketch.apply(f), mode="raw")[1]
+    r = householder_qr(sketch.apply(f))[0]
     if r.shape[0] != r.shape[1] or sla.lapack.dtrcon(r)[0] * PINV_CONDITION < 1.0:
         pinv = np.linalg.pinv(r)
         return r, lambda u: f @ (pinv @ u)

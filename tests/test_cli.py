@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse as sp
 
 import mteq
 from mteq import _blas
-from mteq import ConvDiffSpec, build_convdiff, save_manifest
+from mteq import ConvDiffSpec, MultitermEquation, build_convdiff, save_manifest
 from mteq.cli import main
 
 from conftest import vanish_first_steps
@@ -140,6 +141,23 @@ def test_manifest_with_non_finite_coefficient_exits_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "A_2 has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_manifest_with_singular_preconditioner_coefficient_exits_2(tmp_path, capsys):
+    n = 12
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    eye = sp.identity(n, format="csr")
+    singular = sp.diags(np.r_[np.ones(n - 1), 0.0], format="csr")
+    rng = np.random.default_rng(0)
+    eq = MultitermEquation(terms=[(lap, eye), (eye, lap), (singular, eye)],
+                           C=rng.standard_normal((n, 1)), D=rng.standard_normal((n, 1)))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--precond", "one-term", "--precond-index", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "A_3 is singular" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -19,7 +19,7 @@ from mteq import (
     solve_reduced,
     truncate,
 )
-from mteq.lowrank import _exact_side, select_rank, truncated_svd
+from mteq.lowrank import _QR_BLOCK, _exact_side, householder_qr, select_rank, truncated_svd
 
 TOL = 1e-12
 
@@ -124,6 +124,48 @@ def test_exact_side_map_does_not_keep_the_factor_alive():
     del f
     assert ref() is None
     np.testing.assert_allclose(to_basis(np.eye(6)[:, :2]) @ r[:2, :2], head, rtol=0, atol=1e-12)
+
+
+def adi_like_factor(rng, n=120, r=3, steps=8):
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).toarray() * n
+    v = rng.standard_normal((n, r))
+    return np.hstack([np.linalg.solve(lap + s * np.eye(n), v)
+                      for s in np.geomspace(1.0, 2.0, steps)])
+
+
+@pytest.mark.parametrize("case", ["tall", "short_wide", "below_block", "width_1",
+                                  "adi_like"])
+def test_householder_qr_matches_numpy_triangle(case):
+    rng = np.random.default_rng(20)
+    f = {
+        "tall": lambda: rng.standard_normal((300, 3 * _QR_BLOCK + 5)),
+        "short_wide": lambda: rng.standard_normal((40, 90)),
+        "below_block": lambda: rng.standard_normal((200, _QR_BLOCK - 7)),
+        "width_1": lambda: rng.standard_normal((50, 1)),
+        "adi_like": lambda: adi_like_factor(rng),
+    }[case]()
+    r, to_basis = householder_qr(f)
+    k = min(f.shape)
+    scale = np.linalg.norm(f)
+    # geqrt and geqrf share the Householder sign rule, so R is the same.
+    assert r.shape == (k, f.shape[1])
+    np.testing.assert_allclose(r, np.linalg.qr(f, mode="r"), rtol=0, atol=1e-13 * scale)
+    q = to_basis(np.eye(k))
+    assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
+    np.testing.assert_allclose(to_basis(r), f, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factor_raises(bad):
+    rng = np.random.default_rng(21)
+    left, right = rng.standard_normal((50, 4)), rng.standard_normal((40, 4))
+    left[17, 2] = bad
+    with pytest.raises(ValueError):
+        householder_qr(left)
+    with pytest.raises(ValueError):
+        truncated_svd(left, np.eye(4), right, TruncationConfig())
+    with pytest.raises(ValueError):
+        LowRankMatrix(left, np.eye(4), right).norm_fro()
 
 
 def test_full_size_sketch_matches_exact_residual_truncation():

@@ -151,6 +151,19 @@ def test_norm_fro_matches_dense():
     assert t.norm_fro() == pytest.approx(np.linalg.norm(m.densify()), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(400, 300, 60), (12, 9, 25)])
+def test_norm_fro_of_tall_and_short_wide_factors(shape):
+    # Non-orthonormal factors with a spread of column scales; in the second
+    # case both factors are wider than they are tall.
+    n_rows, n_cols, rank = shape
+    rng = np.random.default_rng(12)
+    m = LowRankMatrix(rng.standard_normal((n_rows, rank)) * np.geomspace(1, 1e-4, rank),
+                      rng.standard_normal((rank, rank)),
+                      rng.standard_normal((n_cols, rank)) * np.geomspace(1e-3, 1, rank))
+    assert not m.orthonormal
+    assert m.norm_fro() == pytest.approx(np.linalg.norm(m.densify()), rel=1e-12)
+
+
 def test_from_dense_round_trip():
     rng = np.random.default_rng(11)
     dense = rng.standard_normal((12, 7))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mteq import (
     LowRankMatrix,
@@ -14,7 +15,9 @@ from mteq import (
     build_preconditioner,
     wachspress_shifts,
 )
+from mteq import precond
 from mteq.precond import (
+    AdiShifts,
     NonePreconditioner,
     analytic_laplacian_interval,
     estimated_interval,
@@ -225,3 +228,98 @@ def test_term_indices_validated_at_build():
         build_preconditioner(
             eq, PreconditionerSpec.two_term_adi(indices=(0, 5), t_adi=2)
         )
+
+
+def band_cases():
+    rng = np.random.default_rng(11)
+    n = 60
+    a3 = build_convdiff(ConvDiffSpec(n=n + 2, eps=0.1)).terms[2][0]
+    yield pytest.param(sp.diags(rng.uniform(1.0, 3.0, n)).tocsr(), id="diagonal")
+    yield pytest.param(dirichlet_laplacian(n) + 5.0 * sp.identity(n),
+                       id="symmetric-tridiagonal")
+    # Zero diagonal plus a small shift: partial pivoting swaps rows.
+    yield pytest.param((a3 + 0.3 * sp.identity(n)).tocsr(), id="nonsymmetric-tridiagonal")
+    offsets = [-2, -1, 0, 1, 2]
+    yield pytest.param(sp.diags(
+        [rng.standard_normal(n - abs(k)) + 6.0 * (k == 0) for k in offsets], offsets).tocsr(),
+        id="pentadiagonal")
+
+
+@pytest.mark.parametrize("matrix", band_cases())
+def test_banded_lu_matches_superlu(matrix):
+    rng = np.random.default_rng(12)
+    lu = precond._factor(matrix, "A")
+    assert isinstance(lu, precond._BandedLU)
+    ref = spla.splu(sp.csc_matrix(matrix))
+    for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 5))):
+        x = lu.solve(b)
+        assert x.shape == b.shape
+        expected = ref.solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_two_dimensional_stencil_stays_on_superlu():
+    t = dirichlet_laplacian(12)
+    eye = sp.identity(12)
+    assert isinstance(precond._factor(sp.kron(t, eye) + sp.kron(eye, t), "A"), spla.SuperLU)
+
+
+def test_banded_adi_matches_superlu_reference(monkeypatch):
+    eq = build_convdiff(ConvDiffSpec(n=130, eps=0.1))
+    a1, b2 = eq.terms[0][0], eq.terms[1][1]
+    shifts = wachspress_shifts(
+        analytic_laplacian_interval(a1), analytic_laplacian_interval(b2), 8)
+    r = eq.rhs_lowrank()
+    banded = TwoTermAdiPreconditioner(a1, b2, shifts)
+    assert all(isinstance(lu, precond._BandedLU) for lu in banded._a_lus + banded._bt_lus)
+    z = banded.apply(r).densify()
+    monkeypatch.setattr(precond, "_factor",
+                        lambda matrix, label: spla.splu(sp.csc_matrix(matrix)))
+    ref = TwoTermAdiPreconditioner(a1, b2, shifts).apply(r).densify()
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def singular_coefficients():
+    """A diagonal matrix (banded LU) and a 2D stencil (SuperLU), each with a zero row."""
+    diagonal = sp.diags(np.r_[1.0, 0.0, np.arange(2.0, 16.0)]).tolil()
+    t, eye = dirichlet_laplacian(4), sp.identity(4)
+    stencil = (sp.kron(t, eye) + sp.kron(eye, t)).tolil()
+    stencil[5, :] = 0.0
+    return [diagonal.tocsr(), stencil.tocsr()]
+
+
+@pytest.mark.parametrize("singular", singular_coefficients(), ids=["banded", "superlu"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_singular_one_term_coefficient_raises_value_error(side, singular):
+    rng = np.random.default_rng(13)
+    eye = sp.identity(16, format="csr")
+    pair = (singular, eye) if side == 0 else (eye, singular)
+    eq = MultitermEquation(terms=[(eye, eye), pair], C=rng.standard_normal((16, 1)),
+                           D=rng.standard_normal((16, 1)))
+    name = "A_2" if side == 0 else r"B_2\^T"
+    with pytest.raises(ValueError, match=f"{name} is singular"):
+        build_preconditioner(eq, PreconditionerSpec.one_term(1))
+
+
+def test_adi_shift_at_minus_an_eigenvalue_raises_value_error():
+    # Both coefficients have the exact eigenvalue 2: tridiag(-1, 0, -1) is singular.
+    a = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    b = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3)).tocsr()
+    shifts = AdiShifts(left=np.array([1.5, 0.7]), right=np.array([1.5, -2.0]),
+                       interval_left=(1.0, 3.0), interval_right=(1.0, 3.0))
+    with pytest.raises(ValueError, match=r"A_1 \+ q I at ADI shift q = -2 is singular"):
+        TwoTermAdiPreconditioner(a, b, shifts, names=("A_1", "B_2"))
+    shifts = AdiShifts(left=np.array([0.7, -2.0]), right=np.array([1.5, 0.7]),
+                       interval_left=(1.0, 3.0), interval_right=(1.0, 3.0))
+    with pytest.raises(ValueError, match=r"B_2\^T \+ q I at ADI shift q = -2 is singular"):
+        TwoTermAdiPreconditioner(a, b, shifts, names=("A_1", "B_2"))
+
+
+def test_estimated_interval_of_singular_coefficient_raises_value_error():
+    rng = np.random.default_rng(14)
+    singular = sp.diags([1.0, 0.0, 2.0]).tocsr()
+    eye = sp.identity(3, format="csr")
+    eq = MultitermEquation(terms=[(singular, eye), (eye, eye)],
+                           C=rng.standard_normal((3, 1)), D=rng.standard_normal((3, 1)))
+    with pytest.raises(ValueError, match="A_1 is singular"):
+        build_preconditioner(eq, PreconditionerSpec.two_term_adi(t_adi=2))
