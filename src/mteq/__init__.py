@@ -20,7 +20,6 @@ from .operator import (
     residual_factored,
 )
 from .precond import (
-    AdiShifts,
     NonePreconditioner,
     OneTermPreconditioner,
     PreconditionerSpec,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DENSIFY_CAP",
-    "AdiShifts",
     "ConvDiffSpec",
     "EquationManifest",
     "InnerSolveConfig",

@@ -250,13 +250,9 @@ def _cmd_bench(args) -> int:
         for n in sizes
         for method in ("ss_gcr1", "ss_mr")
     ]
-    if args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_bench_case, cases))
-    else:
-        rows = [_bench_case(case) for case in cases]
+    if not cases:
+        raise ValueError(f"no grid size left to run: --quick keeps only n <= {_QUICK_LIMIT}")
+    rows = [_bench_case(case) for case in cases]
 
     header = f"{'n':>6} {'eps':>6} {'method':>8} {'k':>4} {'rank':>5} " \
              f"{'pcg':>10} {'Res':>10} {'Time':>8}"
@@ -283,6 +279,11 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     eq, _ = _build_problem(args)
     data = np.load(args.solution)
+    # A plain .npy file loads as one array, with no named arrays at all.
+    missing = [k for k in ("left", "core", "right") if k not in getattr(data, "files", ())]
+    if missing:
+        raise ValueError(f"{args.solution} has no array {', '.join(missing)}; "
+                         "expected left, core and right")
     x = LowRankMatrix(data["left"], data["core"], data["right"])
     res = true_residual(eq, x)
     print(f"true relative residual: {res:.6e}")
@@ -310,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"restrict to n <= {_QUICK_LIMIT}")
     p_bench.add_argument("--sizes", type=int, nargs="*", default=None,
                          help="override the swept grid sizes")
-    p_bench.add_argument("--parallel", type=int, default=1,
-                         help="run this many solves concurrently")
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out-dir", type=Path, default=Path("."))
     p_bench.set_defaults(func=_cmd_bench)

@@ -74,26 +74,6 @@ class PreconditionerSpec:
         )
 
 
-@dataclass(frozen=True)
-class AdiShifts:
-    """Shift parameters for a fixed number of ADI sweeps.
-
-    ``left[m]`` targets the spectrum of the row-side coefficient and is
-    used in the column-side solves; ``right[m]`` targets the column-side
-    spectrum and is used in the row-side solves. Both intervals must be
-    definite (excluding zero).
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    interval_left: tuple[float, float]
-    interval_right: tuple[float, float]
-
-    @property
-    def t_adi(self) -> int:
-        return len(self.left)
-
-
 def _elliptic_shifts(a: float, b: float, t_adi: int) -> np.ndarray:
     """Classical min-max shifts for a positive interval [a, b].
 
@@ -118,14 +98,14 @@ def wachspress_shifts(
     interval_left: tuple[float, float],
     interval_right: tuple[float, float],
     t_adi: int,
-) -> AdiShifts:
-    """ADI shift parameters for spectra in the two given real intervals.
+) -> np.ndarray:
+    """ADI shift parameters, one per sweep, for spectra in the two given real intervals.
 
     Both intervals must lie strictly on the same side of zero. The
-    parameters are computed on the interval hull of the two spectra with a
-    shared shift sequence for both directions; when the intervals coincide
-    (the common case of equal row and column operators) this is the
-    classical optimal choice, otherwise it remains convergent but
+    parameters are computed on the interval hull of the two spectra, and
+    both sides of the ADI iteration share the sequence; when the intervals
+    coincide (the common case of equal row and column operators) this is
+    the classical optimal choice, otherwise it remains convergent but
     suboptimal.
     """
     a, b = map(float, interval_left)
@@ -142,14 +122,7 @@ def wachspress_shifts(
             "spectral intervals touch or straddle zero; ADI needs a "
             "definite leading operator"
         )
-    lo, hi = min(a, c), max(b, d)
-    shifts = sign * _elliptic_shifts(lo, hi, t_adi)
-    return AdiShifts(
-        left=shifts.copy(),
-        right=shifts.copy(),
-        interval_left=tuple(map(float, interval_left)),
-        interval_right=tuple(map(float, interval_right)),
-    )
+    return sign * _elliptic_shifts(min(a, c), max(b, d), t_adi)
 
 
 def analytic_laplacian_interval(matrix) -> tuple[float, float]:
@@ -305,38 +278,40 @@ class OneTermPreconditioner:
 class TwoTermAdiPreconditioner:
     """Fixed-budget factored ADI inverse of a Sylvester operator ``X -> A X + X B``.
 
-    The shifted factorizations of ``A + right[m] I`` and ``B.T + left[m] I``
-    are made once, at construction. Each application runs ``shifts.t_adi``
-    sweeps, costs ``t_adi`` block solves per side, and accumulates the
-    iterate as a sum of rank-``r`` outer products, one per sweep, so the
-    output width is ``t_adi * rank(r)`` (callers typically truncate after).
-    A singular shifted matrix raises ``ValueError`` naming the coefficient
-    by ``names`` and giving the shift.
+    ``shifts`` is the shift sequence, one per sweep, as returned by
+    :func:`wachspress_shifts`. The shifted factorizations of
+    ``A + shifts[m] I`` and ``B.T + shifts[m] I`` are made once, at
+    construction. Each application runs ``len(shifts)`` sweeps, costs one
+    block solve per side and sweep, and accumulates the iterate as a sum of
+    rank-``r`` outer products, one per sweep, so the output width is
+    ``len(shifts) * rank(r)`` (callers typically truncate after). A singular
+    shifted matrix raises ``ValueError`` naming the coefficient by ``names``
+    and giving the shift.
     """
 
-    def __init__(self, a, b, shifts: AdiShifts, names: tuple[str, str] = ("A", "B")):
+    def __init__(self, a, b, shifts: np.ndarray, names: tuple[str, str] = ("A", "B")):
         self.shifts = shifts
         eye_a = sp.identity(a.shape[0])
         eye_b = sp.identity(b.shape[0])
-        self._a_lus = [_factor(a + q * eye_a, _shifted(names[0], q)) for q in shifts.right]
-        self._bt_lus = [_factor(b.T + p * eye_b, _shifted(f"{names[1]}^T", p))
-                        for p in shifts.left]
+        self._a_lus = [_factor(a + q * eye_a, _shifted(names[0], q)) for q in shifts]
+        self._bt_lus = [_factor(b.T + q * eye_b, _shifted(f"{names[1]}^T", q))
+                        for q in shifts]
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
             return LowRankMatrix.zeros(*r.shape)
-        p_shifts, q_shifts = self.shifts.left, self.shifts.right
+        s = self.shifts
         v = self._a_lus[0].solve(r.left @ r.core)
         w = self._bt_lus[0].solve(r.right)
         lefts = [v]
         rights = [w]
-        coeffs = [p_shifts[0] + q_shifts[0]]
-        for m in range(1, self.shifts.t_adi):
-            v = v - (q_shifts[m] + p_shifts[m - 1]) * self._a_lus[m].solve(v)
-            w = w - (p_shifts[m] + q_shifts[m - 1]) * self._bt_lus[m].solve(w)
+        coeffs = [s[0] + s[0]]
+        for m in range(1, len(s)):
+            v = v - (s[m] + s[m - 1]) * self._a_lus[m].solve(v)
+            w = w - (s[m] + s[m - 1]) * self._bt_lus[m].solve(w)
             lefts.append(v)
             rights.append(w)
-            coeffs.append(p_shifts[m] + q_shifts[m])
+            coeffs.append(s[m] + s[m])
         rank = r.core.shape[1]
         core = np.kron(np.diag(coeffs), np.eye(rank))
         return LowRankMatrix(np.hstack(lefts), core, np.hstack(rights))

@@ -4,7 +4,7 @@ Projecting the normal equations of the residual minimization onto the
 current direction pair ``(P_l, P_r)`` yields a matrix equation whose
 coefficient operator has ``p**2`` terms built from small Gram blocks:
 
-    sum_ij (P_l.T A_i.T A_j P_l) @ coeff @ (P_l.T B_j B_i.T P_r) = rhs.
+    sum_ij (P_l.T A_i.T A_j P_l) @ coeff @ (P_r.T B_j B_i.T P_r) = rhs.
 
 Its vectorized coefficient matrix is symmetric positive (semi)definite, so
 small instances are solved by Cholesky on the assembled Kronecker sum and
@@ -14,8 +14,9 @@ larger ones by matrix-form PCG that never assembles it.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,21 +47,49 @@ class InnerSolveConfig:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Gram-block data of one projected system.
+    """One projected system, ready to solve when it is built.
 
     ``left_grams[i, j] = P_l.T A_i.T A_j P_l`` and
-    ``right_grams[i, j] = P_r.T B_i B_j.T P_r``, each ``q_k x q_k``. The
-    system is immutable; the right-hand side is an argument of
-    :func:`solve_reduced`. The factorization of the assembled matrix is
-    made on the first direct solve, and the inner PCG preconditioner for a
-    term pair on the first PCG solve with it; later solves reuse them.
-    :func:`build_reduced` stores the blocks row index first, for copy-free GEMMs.
+    ``right_grams[i, j] = P_r.T B_i B_j.T P_r``, each ``q_k x q_k``, stored
+    row index first for copy-free GEMMs. Construction chooses the path,
+    ``"direct"`` while ``q_k**2 < cfg.direct_threshold`` and ``"pcg"``
+    otherwise, and prepares it: the direct path factors the assembled
+    matrix, the PCG path builds the inner preconditioner of
+    ``cfg.inner_precond_terms``. :func:`solve_reduced` then solves for any
+    number of right-hand sides without further set-up.
     """
 
     left_grams: np.ndarray
     right_grams: np.ndarray
+    cfg: InnerSolveConfig = field(default_factory=InnerSolveConfig)
     rank_deficient: bool = False
-    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    path: str = field(init=False)
+    #: Whether the direct factor needed the diagonal floor.
+    regularized: bool = field(init=False)
+    #: Direct path: the exact inverse of the system on a ``q_k x q_k``
+    #: right-hand side. PCG path: the inner preconditioner, or ``None``.
+    _inverse: Callable[[np.ndarray], np.ndarray] | None = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        qk = self.q_k
+        path = "direct" if qk * qk < self.cfg.direct_threshold else "pcg"
+        inverse, regularized = None, False
+        if qk and path == "direct":
+            solve, regularized = self._factor()
+            inverse = lambda rhs: solve(  # noqa: E731
+                rhs.flatten(order="F")).reshape((qk, qk), order="F")
+        elif qk and self.cfg.inner_precond_terms is not None:
+            try:
+                inverse = _sylvester_inverse(self, self.cfg.inner_precond_terms)
+            except np.linalg.LinAlgError:
+                warnings.warn(
+                    "inner preconditioner setup failed; running unpreconditioned CG",
+                    RuntimeWarning,
+                )
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "regularized", regularized)
+        object.__setattr__(self, "_inverse", inverse)
 
     @property
     def q_k(self) -> int:
@@ -91,14 +120,6 @@ class ReducedSystem:
         tmp = lg.reshape(-1, qk) @ coeff
         return tmp.reshape(qk, -1) @ rg.reshape(qk, -1).T
 
-    def _inner_preconditioner(self, terms: tuple[int, int]):
-        """:func:`_sylvester_inverse` for ``terms``, built once per system."""
-        terms = tuple(terms)
-        if terms not in self._inverses:
-            self._inverses[terms] = _sylvester_inverse(self, terms)
-        return self._inverses[terms]
-
-    @cached_property
     def _factor(self) -> tuple:
         """``(solve, regularized)`` for the assembled system; ``solve`` maps a
         right-hand side, vectorized column-major, to the solution.
@@ -129,28 +150,24 @@ class ReducedSystem:
             return (lambda b: vecs @ ((vecs.T @ b) / lam)), True
 
 
-def build_reduced(eq: MultitermEquation, p_l: np.ndarray | LowRankMatrix,
-                  p_r: np.ndarray | None = None) -> ReducedSystem:
-    """Compute all ``p**2`` Gram blocks for the direction pair.
+def build_reduced(eq: MultitermEquation, p: LowRankMatrix,
+                  cfg: InnerSolveConfig = InnerSolveConfig()) -> ReducedSystem:
+    """The projected system of the direction ``p = P_l @ core @ P_r.T``.
 
-    The pair is two factor arrays, or the direction as a
-    :class:`LowRankMatrix` with ``p_r`` omitted. Both tables come from a
-    single Gram product of the stacked per-term images, so the cost is one
-    tall skinny syrk per side. Severely rank-deficient factor arrays are
+    Only the factors ``P_l`` and ``P_r`` enter. Both Gram tables come from
+    a single Gram product of the stacked per-term images, so the cost is
+    one tall skinny syrk per side. Severely rank-deficient factors are
     flagged (the caller may re-orthonormalize) but not rejected; a
     direction marked orthonormal (a truncation output) skips that check.
+    The system is prepared for its path under ``cfg``.
     """
-    check_rank = True
-    if isinstance(p_l, LowRankMatrix):
-        check_rank = not p_l.orthonormal
-        p_l, p_r = p_l.left, p_l.right
-    p, qk = eq.p, p_l.shape[1]
-    stacks = [(g.T @ g).reshape(p, qk, p, qk).transpose(1, 0, 2, 3).copy()
-              for g in (left_stack(eq, p_l), right_stack(eq, p_r))]
+    eq_p, qk = eq.p, p.left.shape[1]
+    stacks = [(g.T @ g).reshape(eq_p, qk, eq_p, qk).transpose(1, 0, 2, 3).copy()
+              for g in (left_stack(eq, p.left), right_stack(eq, p.right))]
     left, right = (s.transpose(1, 2, 0, 3) for s in stacks)
     deficient = False
-    if qk > 0 and check_rank:
-        for factor in (p_l, p_r):
+    if qk > 0 and not p.orthonormal:
+        for factor in (p.left, p.right):
             svals = sla.svdvals(factor)
             if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
                 deficient = True
@@ -160,41 +177,32 @@ def build_reduced(eq: MultitermEquation, p_l: np.ndarray | LowRankMatrix,
             "re-orthonormalizing before the projected solve",
             RuntimeWarning,
         )
-    return ReducedSystem(left, right, rank_deficient=deficient)
+    return ReducedSystem(left, right, cfg, rank_deficient=deficient)
 
 
-def _projected_adjoint(
-    eq: MultitermEquation, p_l: np.ndarray, p_r: np.ndarray, m: LowRankMatrix
-) -> np.ndarray:
-    """``P_l.T @ (sum_i A_i.T M B_i.T) @ P_r`` evaluated factor-wise.
+def alpha_rhs(eq: MultitermEquation, p: LowRankMatrix, r: LowRankMatrix) -> np.ndarray:
+    """Right-hand side of the residual-minimizing step along ``p``.
 
-    It is ``G_l.T @ G_r`` on the ``(rank p) x q_k`` stacks
-    ``G_l = M_l.T [A_1 P_l, ...]`` and ``G_r = core M_r.T [B_1.T P_r, ...]``.
+    It is the projected adjoint ``P_l.T @ (sum_i A_i.T R B_i.T) @ P_r``,
+    evaluated factor-wise as ``G_l.T @ G_r`` on the ``(rank p) x q_k``
+    stacks ``G_l = R_l.T [A_1 P_l, ...]`` and
+    ``G_r = core R_r.T [B_1.T P_r, ...]``.
     """
-    qk = p_l.shape[1]
-    if m.is_zero or qk == 0:
-        return np.zeros((qk, p_r.shape[1]))
-    g_l = m.left.T @ left_stack(eq, p_l)
-    g_r = m.core @ (m.right.T @ right_stack(eq, p_r))
+    qk = p.left.shape[1]
+    if r.is_zero or qk == 0:
+        return np.zeros((qk, p.right.shape[1]))
+    g_l = r.left.T @ left_stack(eq, p.left)
+    g_r = r.core @ (r.right.T @ right_stack(eq, p.right))
     return g_l.reshape(-1, qk).T @ g_r.reshape(-1, qk)
 
 
-def alpha_rhs(
-    eq: MultitermEquation, p_l: np.ndarray, p_r: np.ndarray, r: LowRankMatrix
-) -> np.ndarray:
-    """Right-hand side of the residual-minimizing step: the projected adjoint of ``r``."""
-    return _projected_adjoint(eq, p_l, p_r, r)
-
-
-def beta_rhs(
-    eq: MultitermEquation, p_l: np.ndarray, p_r: np.ndarray, z: LowRankMatrix
-) -> np.ndarray:
+def beta_rhs(eq: MultitermEquation, p: LowRankMatrix, z: LowRankMatrix) -> np.ndarray:
     """Right-hand side enforcing operator-image orthogonality of consecutive directions.
 
     ``z`` is the (preconditioned) new residual; the result is the negated
-    projected adjoint of its operator image.
+    projected adjoint of its operator image onto the direction ``p``.
     """
-    return -_projected_adjoint(eq, p_l, p_r, apply_L(eq, z))
+    return -alpha_rhs(eq, p, apply_L(eq, z))
 
 
 def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
@@ -217,20 +225,10 @@ def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
     return apply
 
 
-def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray,
-               cfg: InnerSolveConfig) -> tuple[np.ndarray, dict]:
-    qk = sys.q_k
-    apply_m = lambda f: f  # noqa: E731
-    if cfg.inner_precond_terms is not None:
-        try:
-            apply_m = sys._inner_preconditioner(cfg.inner_precond_terms)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "inner preconditioner setup failed; running unpreconditioned CG",
-                RuntimeWarning,
-            )
-
-    x = np.zeros((qk, qk))
+def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
+    cfg = sys.cfg
+    apply_m = sys._inverse or (lambda f: f)
+    x = np.zeros((sys.q_k, sys.q_k))
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(r))
     if rhs_norm == 0.0:
@@ -266,19 +264,15 @@ def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray,
                "regularized": False}
 
 
-def solve_reduced(
-    sys: ReducedSystem, rhs: np.ndarray, cfg: InnerSolveConfig | None = None
-) -> tuple[np.ndarray, dict]:
+def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve the projected system for the ``q_k x q_k`` step coefficient.
 
     Parameters
     ----------
     sys : ReducedSystem
-        Gram blocks of the direction pair.
+        The system of the direction, from :func:`build_reduced`.
     rhs : ndarray, shape (q_k, q_k)
         Right-hand side, from :func:`alpha_rhs` or :func:`beta_rhs`.
-    cfg : InnerSolveConfig, optional
-        Path switching and PCG settings.
 
     Returns
     -------
@@ -287,14 +281,8 @@ def solve_reduced(
         ``path`` ("direct" or "pcg"), ``pcg_iters``, ``converged`` and
         ``regularized`` diagnostics.
     """
-    cfg = cfg or InnerSolveConfig()
-    qk = sys.q_k
-    if qk == 0:
-        return np.zeros((0, 0)), {"path": "direct", "pcg_iters": None,
-                                  "converged": True, "regularized": False}
-    if qk * qk >= cfg.direct_threshold:
-        return _solve_pcg(sys, rhs, cfg)
-    solve, regularized = sys._factor
-    coeff = solve(rhs.flatten(order="F")).reshape((qk, qk), order="F")
+    if sys.path == "pcg":
+        return _solve_pcg(sys, rhs)
+    coeff = sys._inverse(rhs) if sys.q_k else np.zeros((0, 0))
     return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
-                   "regularized": regularized}
+                   "regularized": sys.regularized}

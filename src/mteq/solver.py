@@ -231,9 +231,8 @@ def solve(
         infos: list[dict] = []
         if k > 0:
             with _timer(times, "reduced"):
-                sys = build_reduced(eq, p)
-                alpha, info = solve_reduced(
-                    sys, alpha_rhs(eq, p.left, p.right, r), cfg.inner)
+                sys = build_reduced(eq, p, cfg.inner)
+                alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
             infos.append(info)
 
             core_scale = float(np.linalg.norm(x.core)) if not x.is_zero else 0.0
@@ -278,8 +277,7 @@ def solve(
             p_next = z
             if recombine:
                 with _timer(times, "reduced"):
-                    beta, info = solve_reduced(
-                        sys, beta_rhs(eq, p.left, p.right, z), cfg.inner)
+                    beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
                 infos.append(info)
                 with _timer(times, "truncation"):
                     p_next = truncate(factored_sum(z, p, beta), cfg.truncation)

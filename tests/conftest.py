@@ -47,6 +47,11 @@ def random_lowrank(rng, n_rows, n_cols, rank):
     )
 
 
+def direction(p_l, p_r):
+    """The direction ``p_l @ I @ p_r.T`` of two factor arrays of equal width."""
+    return LowRankMatrix(p_l, np.eye(p_l.shape[1]), p_r)
+
+
 def vanish_first_steps(monkeypatch, count):
     """Make the solver's first ``count`` projected solves return zero coefficients.
 
@@ -58,8 +63,8 @@ def vanish_first_steps(monkeypatch, count):
 
     calls = []
 
-    def patched(sys, rhs, cfg=None):
-        coeff, info = solve_reduced(sys, rhs, cfg)
+    def patched(sys, rhs):
+        coeff, info = solve_reduced(sys, rhs)
         calls.append(coeff)
         return (np.zeros_like(coeff) if len(calls) <= count else coeff), info
 

@@ -184,7 +184,7 @@ def test_criterion_5_orthogonality_suite():
         solve(eq, cfg, callback=snapshots.append)
         r0_norm = eq.rhs_norm()
         for info in snapshots:
-            gram = alpha_rhs(eq, info.P.left, info.P.right, info.R)
+            gram = alpha_rhs(eq, info.P, info.R)
             worst_pg = max(worst_pg, np.linalg.norm(gram) / r0_norm)
             if info.P_next is None:
                 continue

@@ -102,6 +102,21 @@ def test_verify_round_trip(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, arrays, missing", [
+    ("partial.npz", {"left": np.ones((32, 1)), "right": np.ones((32, 1))}, "core"),
+    ("single.npy", None, "left, core, right"),
+])
+def test_verify_names_a_missing_solution_array(tmp_path, capsys, name, arrays, missing):
+    sol = tmp_path / name
+    if arrays is None:
+        np.save(sol, np.ones((32, 1)))
+    else:
+        np.savez(sol, **arrays)
+    code = main(["verify", "--problem", "convdiff", "--n", "34", "--solution", str(sol)])
+    assert code == 2
+    assert f"has no array {missing};" in capsys.readouterr().err
+
+
 def test_manifest_problem_source(tmp_path):
     eq = build_convdiff(ConvDiffSpec(n=20, eps=0.1))
     manifest = save_manifest(eq, tmp_path / "eq")
@@ -204,3 +219,10 @@ def test_bench_quick_emits_all_columns(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4  # 1 size x 2 eps x 2 methods
     assert all(float(row["res"]) <= 1e-6 for row in rows)
+
+
+def test_bench_quick_with_no_size_left_exits_2(tmp_path, capsys):
+    code = main(["bench", "--quick", "--sizes", "4096", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "--quick keeps only n <= 2048" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from mteq import (
+    InnerSolveConfig,
     LowRankMatrix,
     MultitermEquation,
     TruncationConfig,
@@ -20,6 +21,8 @@ from mteq import (
     truncate,
 )
 from mteq.lowrank import _QR_BLOCK, _exact_side, householder_qr, select_rank, truncated_svd
+
+from conftest import direction
 
 TOL = 1e-12
 
@@ -226,7 +229,8 @@ def test_gemm_kernels_match_explicit_kron_sum(p, qk):
     n_a, n_b = 11, 9
     eq = nonsymmetric_equation(rng, n_a, n_b, p)
     p_l, p_r = orthonormal(rng, n_a, qk), orthonormal(rng, n_b, qk)
-    sys = build_reduced(eq, p_l, p_r)
+    p_dir = direction(p_l, p_r)
+    sys = build_reduced(eq, p_dir)
     t = kron_reference(eq, p_l, p_r)
     scale = np.abs(t).max()
     np.testing.assert_allclose(sys.assemble(), t, rtol=0, atol=TOL * scale)
@@ -240,10 +244,10 @@ def test_gemm_kernels_match_explicit_kron_sum(p, qk):
     r = LowRankMatrix(rng.standard_normal((n_a, 3)), rng.standard_normal((3, 2)),
                       rng.standard_normal((n_b, 2)))
     expected = adjoint_reference(eq, p_l, p_r, r.densify())
-    np.testing.assert_allclose(alpha_rhs(eq, p_l, p_r, r), expected, rtol=0,
+    np.testing.assert_allclose(alpha_rhs(eq, p_dir, r), expected, rtol=0,
                                atol=TOL * np.abs(expected).max())
     expected = -adjoint_reference(eq, p_l, p_r, image(eq, r.densify()))
-    np.testing.assert_allclose(beta_rhs(eq, p_l, p_r, r), expected, rtol=0,
+    np.testing.assert_allclose(beta_rhs(eq, p_dir, r), expected, rtol=0,
                                atol=TOL * np.abs(expected).max())
 
 
@@ -255,10 +259,12 @@ def test_build_reduced_from_direction_skips_rank_check_only_when_orthonormal():
     raw = LowRankMatrix(p_l, np.eye(3), orthonormal(rng, 10, 3))
     with pytest.warns(RuntimeWarning):
         assert build_reduced(eq, raw).rank_deficient
-    direction = truncate(raw, TruncationConfig())
-    sys = build_reduced(eq, direction)
+    truncated = truncate(raw, TruncationConfig())
+    sys = build_reduced(eq, truncated)
     assert not sys.rank_deficient
-    ref = build_reduced(eq, direction.left, direction.right)
+    # The flag only skips the check: unflagged, the same factors pass it.
+    ref = build_reduced(eq, LowRankMatrix(truncated.left, truncated.core, truncated.right))
+    assert not ref.rank_deficient
     assert np.array_equal(sys.assemble(), ref.assemble())
 
 
@@ -269,15 +275,19 @@ def test_in_place_factorization_regularizes_a_singular_system():
     eq = nonsymmetric_equation(rng, 10, 10, 2)
     p_l = orthonormal(rng, 10, 3)
     p_l[:, 2] = 0.0
-    with pytest.warns(RuntimeWarning):
-        sys = build_reduced(eq, p_l, orthonormal(rng, 10, 3))
-    before = sys.assemble()
+    p = direction(p_l, orthonormal(rng, 10, 3))
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        with pytest.warns(RuntimeWarning, match="diagonal floor"):
+            sys = build_reduced(eq, p)
+    assert sys.regularized
+    # The in-place factorization left the Gram blocks alone.
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        unfactored = build_reduced(eq, p, InnerSolveConfig(direct_threshold=1))
+    assert np.array_equal(sys.assemble(), unfactored.assemble())
     rhs = rng.standard_normal((3, 3))
     rhs[2] = 0.0
-    with pytest.warns(RuntimeWarning, match="diagonal floor"):
-        coeff, info = solve_reduced(sys, rhs)
+    coeff, info = solve_reduced(sys, rhs)
     assert info["regularized"]
-    assert np.array_equal(sys.assemble(), before)
     np.testing.assert_allclose(sys.apply(coeff), rhs, rtol=0,
                                atol=1e-8 * np.abs(rhs).max())
     again, info = solve_reduced(sys, rhs)

@@ -17,7 +17,6 @@ from mteq import (
 )
 from mteq import precond
 from mteq.precond import (
-    AdiShifts,
     NonePreconditioner,
     analytic_laplacian_interval,
     estimated_interval,
@@ -78,25 +77,24 @@ def test_one_term_is_exact_inverse_of_its_term():
 
 def test_wachspress_degenerate_interval():
     shifts = wachspress_shifts((1.0, 1.0), (1.0, 1.0), 1)
-    assert shifts.left == pytest.approx([1.0])
-    assert shifts.right == pytest.approx([1.0])
+    assert shifts == pytest.approx([1.0])
 
 
 def test_wachspress_single_shift_is_geometric_mean():
     shifts = wachspress_shifts((1.0, 100.0), (1.0, 100.0), 1)
-    assert shifts.left[0] == pytest.approx(10.0, rel=1e-12)
+    assert shifts[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_wachspress_shifts_interior_and_monotone():
     shifts = wachspress_shifts((1.0, 100.0), (1.0, 100.0), 8)
-    assert np.all(shifts.left > 1.0) and np.all(shifts.left < 100.0)
-    assert np.all(np.diff(shifts.left) < 0)
+    assert np.all(shifts > 1.0) and np.all(shifts < 100.0)
+    assert np.all(np.diff(shifts) < 0)
 
 
 def test_wachspress_negative_definite_intervals():
     shifts = wachspress_shifts((-100.0, -1.0), (-100.0, -1.0), 4)
-    assert np.all(shifts.left < 0)
-    assert shifts.t_adi == 4
+    assert np.all(shifts < 0)
+    assert len(shifts) == 4
 
 
 def test_wachspress_rejects_indefinite_interval():
@@ -168,7 +166,7 @@ def test_adi_budget_quality_on_benchmark_diffusion():
     # The spec route picks the same leading pair and shifts.
     built = build_preconditioner(
         eq, PreconditionerSpec.two_term_adi(shift_source="analytic_laplacian"))
-    np.testing.assert_array_equal(built.shifts.left, shifts.left)
+    np.testing.assert_array_equal(built.shifts, shifts)
     np.testing.assert_array_equal(built.apply(r).densify(), zd)
 
 
@@ -302,17 +300,14 @@ def test_singular_one_term_coefficient_raises_value_error(side, singular):
 
 
 def test_adi_shift_at_minus_an_eigenvalue_raises_value_error():
-    # Both coefficients have the exact eigenvalue 2: tridiag(-1, 0, -1) is singular.
+    # a has the exact eigenvalues 1, 2, 3; b the exact eigenvalue 4, which a
+    # lacks: tridiag(-1, 0, -1) is singular.
     a = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    b = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(3, 3)).tocsr()
-    shifts = AdiShifts(left=np.array([1.5, 0.7]), right=np.array([1.5, -2.0]),
-                       interval_left=(1.0, 3.0), interval_right=(1.0, 3.0))
+    b = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(3, 3)).tocsr()
     with pytest.raises(ValueError, match=r"A_1 \+ q I at ADI shift q = -2 is singular"):
-        TwoTermAdiPreconditioner(a, b, shifts, names=("A_1", "B_2"))
-    shifts = AdiShifts(left=np.array([0.7, -2.0]), right=np.array([1.5, 0.7]),
-                       interval_left=(1.0, 3.0), interval_right=(1.0, 3.0))
-    with pytest.raises(ValueError, match=r"B_2\^T \+ q I at ADI shift q = -2 is singular"):
-        TwoTermAdiPreconditioner(a, b, shifts, names=("A_1", "B_2"))
+        TwoTermAdiPreconditioner(a, b, np.array([1.5, -2.0]), names=("A_1", "B_2"))
+    with pytest.raises(ValueError, match=r"B_2\^T \+ q I at ADI shift q = -4 is singular"):
+        TwoTermAdiPreconditioner(a, b, np.array([1.5, -4.0]), names=("A_1", "B_2"))
 
 
 def test_estimated_interval_of_singular_coefficient_raises_value_error():
