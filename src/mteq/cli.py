@@ -4,7 +4,8 @@
 history CSV. ``mteq bench`` sweeps the convection-diffusion benchmark grid
 and emits a results table. ``mteq verify`` recomputes the true relative
 residual of a saved solution. Exit codes: 0 success, 2 configuration
-error, 3 non-convergence (outputs are still written).
+error, 3 non-convergence: ``maxit_reached``, ``stagnated`` or
+``breakdown`` (outputs are still written).
 """
 
 from __future__ import annotations

@@ -98,32 +98,37 @@ class MultitermEquation:
         return float(np.sqrt(max(np.trace(g), 0.0)))
 
 
-def left_stack(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
-    """Stack of per-term products ``[A_1 v, ..., A_p v]``."""
-    if v.shape[1] == 0:
-        return np.zeros((eq.n_A, 0))
-    return np.hstack([a @ v for a, _ in eq.terms])
+def _stack(mats, v: np.ndarray, n: int, out: np.ndarray | None) -> np.ndarray:
+    """``[M_1 v, ..., M_p v]``, written into ``out`` (allocated when ``None``)."""
+    k = v.shape[1]
+    if out is None:
+        out = np.empty((n, len(mats) * k))
+    if k > 0:
+        for i, m in enumerate(mats):
+            out[:, i * k:(i + 1) * k] = m @ v
+    return out
 
 
-def right_stack(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
-    """Stack of per-term products ``[B_1.T v, ..., B_p.T v]``."""
-    if v.shape[1] == 0:
-        return np.zeros((eq.n_B, 0))
-    return np.hstack([b.T @ v for _, b in eq.terms])
+def left_stack(eq: MultitermEquation, v: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Stack of per-term products ``[A_1 v, ..., A_p v]``, into ``out`` if given."""
+    return _stack([a for a, _ in eq.terms], v, eq.n_A, out)
+
+
+def right_stack(eq: MultitermEquation, v: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Stack of per-term products ``[B_1.T v, ..., B_p.T v]``, into ``out`` if given."""
+    return _stack([b.T for _, b in eq.terms], v, eq.n_B, out)
 
 
 def left_stack_adj(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
     """Stack of per-term products ``[A_1.T v, ..., A_p.T v]``."""
-    if v.shape[1] == 0:
-        return np.zeros((eq.n_A, 0))
-    return np.hstack([a.T @ v for a, _ in eq.terms])
+    return _stack([a.T for a, _ in eq.terms], v, eq.n_A, None)
 
 
 def right_stack_adj(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
     """Stack of per-term products ``[B_1 v, ..., B_p v]``."""
-    if v.shape[1] == 0:
-        return np.zeros((eq.n_B, 0))
-    return np.hstack([b @ v for _, b in eq.terms])
+    return _stack([b for _, b in eq.terms], v, eq.n_B, None)
 
 
 def _check_operand(eq: MultitermEquation, x: LowRankMatrix) -> None:
@@ -166,9 +171,13 @@ def residual_factored(eq: MultitermEquation, x: LowRankMatrix) -> LowRankMatrix:
     """
     _check_operand(eq, x)
     core = sla.block_diag(np.eye(eq.q), -np.kron(np.eye(eq.p), x.core))
-    return LowRankMatrix(
-        np.hstack([eq.C, left_stack(eq, x.left)]),
-        core,
-        np.hstack([eq.D, right_stack(eq, x.right)]),
-    )
+    left = np.empty((eq.n_A, eq.q + eq.p * x.left.shape[1]))
+    right = np.empty((eq.n_B, eq.q + eq.p * x.right.shape[1]))
+    # Each factor is allocated once: C (or D) and the per-term products are
+    # written straight into it, with no intermediate stack to copy.
+    left[:, :eq.q] = eq.C
+    right[:, :eq.q] = eq.D
+    left_stack(eq, x.left, out=left[:, eq.q:])
+    right_stack(eq, x.right, out=right[:, eq.q:])
+    return LowRankMatrix(left, core, right)
 

@@ -1,10 +1,32 @@
 """Seeded randomized trigonometric sketches and sketched residual truncation.
 
-A sketch maps ``R^n -> R^s`` by sign flips, an orthonormal DCT-II, and a
-uniform row subsample rescaled by ``sqrt(n/s)``; for a fixed seed it is a
-deterministic linear operator with O(n log n) cost per column. Sketching
-both sides of the factored residual lets us truncate it and estimate its
-Frobenius norm without tall QR factorizations.
+A sketch maps ``R^n -> R^s`` by sign flips, an orthonormal DCT-II of a fast
+length ``N >= n`` applied to the zero-padded input, and a uniform row
+subsample of ``s`` of the ``N`` rows rescaled by ``sqrt(N/s)``:
+
+    S = sqrt(N/s) * P F_N[:, :n] diag(d).
+
+For a fixed seed it is a deterministic linear operator with O(N log N)
+cost per column. Sketching both sides of the factored residual lets us
+truncate it and estimate its Frobenius norm without tall QR factorizations.
+
+Why padding keeps the sketch sound. ``N = next_fast_len(n)`` is the next
+5-smooth length, so the DCT never falls back to Bluestein's algorithm
+(``n = 16382 = 2 * 8191`` would), and ``N <= n (1 + o(1))`` as ``n`` grows.
+``F_N[:, :n]`` is ``n`` columns of an orthogonal matrix, so it has
+orthonormal columns: ``w = F_N[:, :n] (d * v)`` has ``||w|| = ||v||``.
+The ``s`` rows are drawn uniformly without replacement from the ``N``, so
+each is kept with probability ``s/N`` and ``E ||S v||^2 = (N/s) (s/N)
+||w||^2 = ||v||^2``: the padded sketch is still an unbiased norm
+estimator. Every entry of ``F_N`` is bounded by ``sqrt(2/N)``, so for an
+orthonormal ``U`` (``n x k``) the random signs spread the rows of
+``F_N[:, :n] diag(d) U`` to norms of order ``sqrt((k + log N) / N)`` with
+high probability. That incoherence is all the subsampled-randomized-
+transform embedding argument (Halko, Martinsson & Tropp 2011, section 11)
+uses, so its bound ``s = O((k + log N) log k)`` holds with ``n`` replaced
+by ``N``. The sketch is orthogonal only at ``s == n``, where ``N = n`` is
+kept: a signed, permuted DCT, which preserves norms exactly. At a length
+that is already fast, ``N = n`` and the operator is the unpadded one.
 """
 
 from __future__ import annotations
@@ -13,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import dct
+from scipy.fft import dct, next_fast_len
 
 from .lowrank import LowRankMatrix, TruncationConfig, householder_qr, truncated_svd
 from .operator import MultitermEquation, residual_factored
@@ -25,15 +47,17 @@ PINV_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class SketchOperator:
-    """Subsampled trigonometric transform ``v -> sqrt(n/s) * (F (d * v))[rows]``.
+    """Subsampled transform ``v -> sqrt(N/s) * (F_N (d * v, zero-padded))[rows]``.
 
-    ``d`` is a Rademacher sign vector and ``F`` the orthonormal DCT-II, so
-    the full transform is orthogonal and the subsample is an unbiased
-    norm estimator. Construction is reproducible from ``seed``.
+    ``d`` is a Rademacher sign vector, ``F_N`` the orthonormal DCT-II of
+    length ``N = n_fft >= n`` and ``rows`` ``s`` distinct indices below
+    ``N``, so the subsample is an unbiased norm estimator (see the module
+    docstring). Construction is reproducible from ``seed``.
     """
 
     n: int
     s: int
+    n_fft: int
     sign_flips: np.ndarray
     row_subset: np.ndarray
     seed: int
@@ -49,23 +73,31 @@ class SketchOperator:
         if m.shape[1] == 0:
             out = np.zeros((self.s, 0))
         else:
-            y = dct(self.sign_flips[:, None] * m, type=2, norm="ortho", axis=0)
-            out = np.sqrt(self.n / self.s) * y[self.row_subset, :]
+            # The signs are written straight into the zero-padded buffer,
+            # which the transform may then overwrite.
+            y = np.zeros((self.n_fft, m.shape[1]))
+            np.multiply(self.sign_flips[:, None], m, out=y[:self.n])
+            y = dct(y, type=2, norm="ortho", axis=0, overwrite_x=True)
+            out = np.sqrt(self.n_fft / self.s) * y[self.row_subset, :]
         return out[:, 0] if squeeze else out
 
 
 def make_sketch(n: int, s: int, seed: int) -> SketchOperator:
     """Draw a seeded sketch operator ``R^n -> R^s``.
 
-    Requires ``1 <= s <= n``; with ``s == n`` the operator is orthogonal
-    (a signed, permuted DCT) and preserves norms exactly.
+    Requires ``1 <= s <= n``. The transform length is
+    ``next_fast_len(n, real=True)`` for ``s < n``; with ``s == n`` it is
+    ``n`` itself and the operator is orthogonal (a signed, permuted DCT)
+    and preserves norms exactly.
     """
     if not 1 <= s <= n:
         raise ValueError(f"sketch dimension must satisfy 1 <= s <= n, got s={s}, n={n}")
+    n_fft = n if s == n else next_fast_len(n, real=True)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    rows = rng.choice(n, size=s, replace=False)
-    return SketchOperator(n=n, s=s, sign_flips=signs, row_subset=rows, seed=seed)
+    rows = rng.choice(n_fft, size=s, replace=False)
+    return SketchOperator(n=n, s=s, n_fft=n_fft, sign_flips=signs, row_subset=rows,
+                          seed=seed)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ norm when the problem is large.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from contextlib import contextmanager
@@ -59,15 +60,19 @@ class SolverConfig:
 class SolveReport:
     """Per-solve diagnostics mirroring the usual benchmark columns.
 
-    ``status`` is ``"converged"``, ``"maxit_reached"`` or ``"stagnated"``
-    (the step coefficient vanished again after a redraw). ``iterations``
-    counts accepted steps; a redraw is not one. ``residual_estimates`` and
-    ``ranks`` carry one entry for the initial state plus one per iteration
-    (``iterations + 1`` in total); the rank triples are
-    ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
+    ``status`` is ``"converged"``, ``"maxit_reached"``, ``"stagnated"``
+    (the step coefficient vanished again after a redraw) or
+    ``"breakdown"`` (a step coefficient or the residual estimate was not
+    finite). ``iterations`` counts accepted steps; a redraw is not one.
+    ``residual_estimates`` and ``ranks`` carry one entry for the initial
+    state plus one per iteration (``iterations + 1`` in total); the rank
+    triples are ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
     iteration: ``(min, max)`` over that iteration's projected solves when
     the iterative path ran, else ``None``. Estimates are not guaranteed
-    monotone once truncation is active.
+    monotone once truncation is active. ``sketch_dim`` is the sketch
+    dimension ``s`` of the policy that chose ``sketch_mode``, and
+    ``sketch_n_fft`` the transform length of the row and the column sketch,
+    ``None`` for a side that is not sketched.
     """
 
     method: str
@@ -79,6 +84,8 @@ class SolveReport:
     wall_times: dict[str, float] = field(default_factory=dict)
     rhs_norm: float = 0.0
     sketch_mode: str = "exact"
+    sketch_dim: int = 0
+    sketch_n_fft: tuple[int | None, int | None] = (None, None)
     true_final_residual: float | None = None
 
     @property
@@ -101,6 +108,8 @@ class SolveReport:
             "wall_times": self.wall_times,
             "rhs_norm": self.rhs_norm,
             "sketch_mode": self.sketch_mode,
+            "sketch_dim": self.sketch_dim,
+            "sketch_n_fft": list(self.sketch_n_fft),
             "true_final_residual": self.true_final_residual,
             "final_rank": self.final_rank,
         }
@@ -112,7 +121,9 @@ class IterationInfo:
 
     ``k`` is the zero-based index of the accepted step. ``Z``, ``P_next``
     and ``beta`` are ``None`` on the converged iteration, which draws no
-    next direction; ``beta`` is also ``None`` for ``ss_mr``.
+    next direction; ``P_next`` and ``beta`` are ``None`` on an iteration
+    whose ``beta`` broke down, and ``beta`` is also ``None`` for
+    ``ss_mr``.
     """
 
     k: int
@@ -155,6 +166,12 @@ def _pcg_entry(infos: list[dict]) -> tuple[int, int] | None:
     return (min(iters), max(iters))
 
 
+def _break_down(what: str, report: SolveReport) -> None:
+    report.status = "breakdown"
+    warnings.warn(f"{what} is not finite; stopping at the last finite iterate",
+                  RuntimeWarning)
+
+
 @single_pool()
 def solve(
     eq: MultitermEquation,
@@ -192,9 +209,14 @@ def solve(
     never aborts the iteration. If a step coefficient vanishes relative to
     the accumulated core, the direction is redrawn once from the
     un-preconditioned residual; the redraw uses up a pass. A second
-    vanishing step stops the solve with status ``"stagnated"``. A
-    ``ValueError`` is raised up front when ``cfg.inner.inner_precond_terms``
-    names a term that ``eq`` does not have.
+    vanishing step stops the solve with status ``"stagnated"``. A step
+    coefficient ``alpha`` or ``beta`` or a residual estimate that is not
+    finite stops it with status ``"breakdown"`` and a ``RuntimeWarning``;
+    the iterate returned is the last one whose estimate was finite, and
+    the report describes that iterate. A ``ValueError`` is raised up front
+    when ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does
+    not have, and when the initial guess has a non-finite residual
+    estimate.
 
     When numpy and scipy each bundle their own OpenBLAS, numpy's runs at one
     thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK keeps
@@ -217,8 +239,10 @@ def solve(
     policy = SketchPolicy.from_dimensions(
         eq.n_A, eq.n_B, eq.p, eq.q, cfg.truncation.maxrank
     )
-    report.sketch_mode = policy.mode
     s_a, s_b = policy.operators(eq.n_A, eq.n_B, cfg.sketch_seed)
+    report.sketch_mode = policy.mode
+    report.sketch_dim = policy.s
+    report.sketch_n_fft = tuple(None if op is None else op.n_fft for op in (s_a, s_b))
 
     with _timer(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
@@ -229,11 +253,15 @@ def solve(
     redrawn = False
     for k in range(cfg.maxit + 1):
         infos: list[dict] = []
+        x_next = x
         if k > 0:
             with _timer(times, "reduced"):
                 sys = build_reduced(eq, p, cfg.inner)
                 alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
             infos.append(info)
+            if not np.isfinite(alpha).all():
+                _break_down("step coefficient alpha", report)
+                break
 
             core_scale = float(np.linalg.norm(x.core)) if not x.is_zero else 0.0
             if np.linalg.norm(alpha) <= STALL_RTOL * core_scale:
@@ -255,11 +283,19 @@ def solve(
                 continue
 
             with _timer(times, "truncation"):
-                x = truncate(factored_sum(x, p, alpha), cfg.truncation)
-            report.iterations += 1
+                x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
 
         with _timer(times, "sketch"):
-            r, estimate = sketched_residual_truncate(eq, x, s_a, s_b, cfg.truncation)
+            r_next, estimate = sketched_residual_truncate(
+                eq, x_next, s_a, s_b, cfg.truncation)
+        if not math.isfinite(estimate):
+            if k == 0:
+                raise ValueError("the residual estimate of the initial guess is not finite")
+            _break_down("residual estimate", report)
+            break
+        x, r = x_next, r_next
+        if k > 0:
+            report.iterations += 1
         report.residual_estimates.append(estimate)
 
         z = p_next = beta = None
@@ -279,10 +315,15 @@ def solve(
                 with _timer(times, "reduced"):
                     beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
                 infos.append(info)
-                with _timer(times, "truncation"):
-                    p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
+                if np.isfinite(beta).all():
+                    with _timer(times, "truncation"):
+                        p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
+                else:
+                    _break_down("step coefficient beta", report)
+                    p_next = beta = None
 
-        # A converged pass draws no direction: record the one just used.
+        # A pass that converged or broke down draws no direction: record
+        # the one just used.
         report.ranks.append((x.rank, r.rank, (p if p_next is None else p_next).rank))
         if k > 0:
             report.inner_pcg_iters.append(_pcg_entry(infos))
@@ -291,7 +332,7 @@ def solve(
                     k=report.iterations - 1, X=x, R=r, P=p, alpha=alpha,
                     residual_estimate=estimate, Z=z, P_next=p_next, beta=beta,
                 ))
-        if report.converged:
+        if p_next is None:
             break
         p = p_next
 

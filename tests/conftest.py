@@ -52,12 +52,8 @@ def direction(p_l, p_r):
     return LowRankMatrix(p_l, np.eye(p_l.shape[1]), p_r)
 
 
-def vanish_first_steps(monkeypatch, count):
-    """Make the solver's first ``count`` projected solves return zero coefficients.
-
-    A zero step coefficient is what the solver treats as a vanished step,
-    so this drives its redraw and early-stop paths.
-    """
+def _patch_step_coefficients(monkeypatch, replace):
+    """Return ``replace(k, coeff)`` from the solver's ``k``-th projected solve (1-based)."""
     import mteq.solver
     from mteq.reduced import solve_reduced
 
@@ -66,6 +62,26 @@ def vanish_first_steps(monkeypatch, count):
     def patched(sys, rhs):
         coeff, info = solve_reduced(sys, rhs)
         calls.append(coeff)
-        return (np.zeros_like(coeff) if len(calls) <= count else coeff), info
+        return replace(len(calls), coeff), info
 
     monkeypatch.setattr(mteq.solver, "solve_reduced", patched)
+
+
+def vanish_first_steps(monkeypatch, count):
+    """Make the solver's first ``count`` projected solves return zero coefficients.
+
+    A zero step coefficient is what the solver treats as a vanished step,
+    so this drives its redraw and early-stop paths.
+    """
+    _patch_step_coefficients(
+        monkeypatch, lambda k, coeff: np.zeros_like(coeff) if k <= count else coeff)
+
+
+def poison_step(monkeypatch, call):
+    """Make the solver's ``call``-th projected solve (1-based) return a NaN coefficient.
+
+    For ``ss_gcr1`` the odd calls solve for ``alpha`` and the even ones for
+    ``beta``, so this drives the breakdown path of either coefficient.
+    """
+    _patch_step_coefficients(
+        monkeypatch, lambda k, coeff: np.full_like(coeff, np.nan) if k == call else coeff)

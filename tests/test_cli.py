@@ -13,7 +13,7 @@ from mteq import _blas
 from mteq import ConvDiffSpec, MultitermEquation, build_convdiff, save_manifest
 from mteq.cli import main
 
-from conftest import vanish_first_steps
+from conftest import poison_step, vanish_first_steps
 
 
 def run_solve(tmp_path, extra=()):
@@ -34,6 +34,10 @@ def test_solve_writes_report_and_history(tmp_path):
                                   "scipy": scipy.__version__}
     assert report["config"]["maxrank"] == 20
     assert report["problem"] == {"problem": "convdiff", "n": 34, "eps": 0.1}
+    # Both dimensions (32) are below s = 2 (p maxrank + q): nothing is sketched.
+    assert report["result"]["sketch_mode"] == "exact"
+    assert report["result"]["sketch_dim"] == 2 * (4 * 20 + 2)
+    assert report["result"]["sketch_n_fft"] == [None, None]
     with open(tmp_path / "history.csv") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["k", "residual_estimate", "rank_x", "rank_r", "rank_p"]
@@ -67,6 +71,17 @@ def test_stagnated_solve_exits_3_but_writes_report(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"]["status"] == "stagnated"
     assert report["result"]["iterations"] == 0
+
+
+def test_breakdown_exits_3_but_writes_report(tmp_path, monkeypatch):
+    poison_step(monkeypatch, 2)
+    with pytest.warns(RuntimeWarning, match="beta is not finite"):
+        code = run_solve(tmp_path)
+    assert code == 3
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["status"] == "breakdown"
+    assert result["iterations"] == 1
+    assert np.isfinite(result["true_final_residual"])
 
 
 @pytest.mark.parametrize("pair", ["0,1", "9,9"])
@@ -206,6 +221,9 @@ def test_benchmark_invocation_at_full_size(tmp_path):
     assert report["result"]["iterations"] <= 8
     assert report["result"]["true_final_residual"] <= 1e-6
     assert report["result"]["sketch_mode"] == "two_sided"
+    # s = 2 (p maxrank + q); both 1022-point sides are padded to 1024.
+    assert report["result"]["sketch_dim"] == 2 * (4 * 50 + 2)
+    assert report["result"]["sketch_n_fft"] == [1024, 1024]
 
 
 def test_bench_quick_emits_all_columns(tmp_path, capsys):

@@ -167,6 +167,25 @@ def test_residual_matches_dense_evaluation():
     )
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_residual_factors_bit_identical_to_stacked_products(dense):
+    rng = np.random.default_rng(11)
+    eq = random_posdef_equation(rng, 30, 24, 3, 2)
+    if dense:
+        eq = MultitermEquation(terms=[(a.toarray(), b.toarray()) for a, b in eq.terms],
+                               C=eq.C, D=eq.D)
+    x = random_lowrank(rng, 30, 24, 5)
+    r = residual_factored(eq, x)
+    # The construction that stacked the products and then C or D beside them.
+    left = np.hstack([eq.C, np.hstack([a @ x.left for a, _ in eq.terms])])
+    right = np.hstack([eq.D, np.hstack([b.T @ x.right for _, b in eq.terms])])
+    assert np.array_equal(r.left, left)
+    assert np.array_equal(r.right, right)
+    assert r.left.flags.c_contiguous and r.right.flags.c_contiguous
+    r0 = residual_factored(eq, LowRankMatrix.zeros(30, 24))
+    assert np.array_equal(r0.left, eq.C) and np.array_equal(r0.right, eq.D)
+
+
 def test_rhs_norm_matches_dense():
     rng = np.random.default_rng(9)
     eq = random_posdef_equation(rng, 14, 11, 2, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dct
 
 from mteq import (
     LowRankMatrix,
@@ -30,11 +31,14 @@ def sparse_random(rng, n, density=0.02):
 
 def test_full_sampling_is_orthogonal():
     rng = np.random.default_rng(0)
-    s = make_sketch(64, 64, seed=3)
-    for _ in range(5):
-        v = rng.standard_normal(64)
-        ratio = np.linalg.norm(s.apply(v)) / np.linalg.norm(v)
-        assert 1 - 1e-10 <= ratio <= 1 + 1e-10
+    # 70 is not a fast transform length: a full-size sketch is still not padded.
+    for n in (64, 70):
+        s = make_sketch(n, n, seed=3)
+        assert s.n_fft == n
+        for _ in range(5):
+            v = rng.standard_normal(n)
+            ratio = np.linalg.norm(s.apply(v)) / np.linalg.norm(v)
+            assert 1 - 1e-10 <= ratio <= 1 + 1e-10
 
 
 def test_determinism_for_fixed_seed():
@@ -47,13 +51,15 @@ def test_determinism_for_fixed_seed():
 
 def test_norm_estimate_unbiased_over_seeds():
     rng = np.random.default_rng(2)
-    v = rng.standard_normal(1024)
-    ratios = [
-        np.linalg.norm(make_sketch(1024, 128, seed=k).apply(v)) ** 2
-        / np.linalg.norm(v) ** 2
-        for k in range(200)
-    ]
-    assert 0.9 <= np.mean(ratios) <= 1.1
+    # 1022 = 2 * 7 * 73 is padded to 1024; 1024 is not.
+    for n in (1024, 1022):
+        v = rng.standard_normal(n)
+        ratios = [
+            np.linalg.norm(make_sketch(n, 128, seed=k).apply(v)) ** 2
+            / np.linalg.norm(v) ** 2
+            for k in range(200)
+        ]
+        assert 0.9 <= np.mean(ratios) <= 1.1
 
 
 def test_invalid_sketch_dimension():
@@ -65,15 +71,46 @@ def test_invalid_sketch_dimension():
 
 def test_empirical_subspace_embedding():
     rng = np.random.default_rng(3)
-    basis = np.linalg.qr(rng.standard_normal((2048, 10)))[0]
-    probes = basis @ rng.standard_normal((10, 50))
-    probes /= np.linalg.norm(probes, axis=0)
-    hits = 0
-    for seed in range(200):
-        sk = make_sketch(2048, 200, seed=seed)
-        distortion = np.abs(np.linalg.norm(sk.apply(probes), axis=0) ** 2 - 1.0)
-        hits += distortion.max() <= 0.5
-    assert hits >= 190
+    # 2046 = 2 * 3 * 11 * 31 is padded to 2048; 2048 is not.
+    for n in (2048, 2046):
+        basis = np.linalg.qr(rng.standard_normal((n, 10)))[0]
+        probes = basis @ rng.standard_normal((10, 50))
+        probes /= np.linalg.norm(probes, axis=0)
+        hits = 0
+        for seed in range(200):
+            sk = make_sketch(n, 200, seed=seed)
+            distortion = np.abs(np.linalg.norm(sk.apply(probes), axis=0) ** 2 - 1.0)
+            hits += distortion.max() <= 0.5
+        assert hits >= 190
+
+
+@pytest.mark.parametrize("n, s, n_fft", [(70, 20, 72), (1022, 100, 1024)])
+def test_padded_sketch_matches_explicit_matrix(n, s, n_fft):
+    sk = make_sketch(n, s, seed=5)
+    assert sk.n_fft == n_fft
+    assert sk.row_subset.max() < n_fft
+    # Column j of the orthonormal DCT-II matrix is the transform of e_j.
+    dct_n = dct(np.eye(n_fft), type=2, norm="ortho", axis=0)
+    explicit = np.sqrt(n_fft / s) * dct_n[sk.row_subset][:, :n] * sk.sign_flips
+    m = np.random.default_rng(6).standard_normal((n, 7))
+    np.testing.assert_allclose(sk.apply(m), explicit @ m, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sk.apply(m[:, 0]), explicit @ m[:, 0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2048])
+def test_fast_length_sketch_is_the_unpadded_draw(n):
+    s, seed = n // 4, 9
+    sk = make_sketch(n, s, seed=seed)
+    # The draw of the unpadded operator: signs, then rows out of range(n).
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    rows = rng.choice(n, size=s, replace=False)
+    assert sk.n_fft == n
+    assert np.array_equal(sk.sign_flips, signs)
+    assert np.array_equal(sk.row_subset, rows)
+    m = np.random.default_rng(10).standard_normal((n, 3))
+    unpadded = np.sqrt(n / s) * dct(signs[:, None] * m, type=2, norm="ortho", axis=0)[rows]
+    assert np.array_equal(sk.apply(m), unpadded)
 
 
 def test_policy_mode_selection():

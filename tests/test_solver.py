@@ -20,7 +20,12 @@ from mteq import (
 )
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
-from conftest import random_lowrank, random_posdef_equation, vanish_first_steps
+from conftest import (
+    poison_step,
+    random_lowrank,
+    random_posdef_equation,
+    vanish_first_steps,
+)
 
 
 def untruncated_config(n, method="ss_mr", tol=1e-14, maxit=30):
@@ -263,6 +268,8 @@ def test_left_only_sketching_in_full_solve():
                        truncation=TruncationConfig(toltrank=1e-12, maxrank=10))
     x, rep = solve(eq, cfg)
     assert rep.sketch_mode == "left_only"
+    assert rep.sketch_dim == 44  # 2 (p maxrank + q)
+    assert rep.sketch_n_fft == (1200, None)  # 1200 = 2^4 3 5^2 is a fast length
     assert rep.converged
     assert true_residual(eq, x) <= 1e-6
 
@@ -316,6 +323,61 @@ def test_second_vanishing_step_reports_stagnated(monkeypatch):
     assert len(rep.residual_estimates) == len(rep.ranks) == 1
     assert rep.inner_pcg_iters == []
     assert x.is_zero
+
+
+@pytest.mark.parametrize("method, call, coeff", [
+    ("ss_gcr1", 2, "beta"),   # beta of the first step: that step is kept
+    ("ss_gcr1", 3, "alpha"),  # alpha of the second step: it is not taken
+    ("ss_mr", 2, "alpha"),
+])
+def test_non_finite_step_coefficient_breaks_down(monkeypatch, method, call, coeff):
+    eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
+    cfg = convdiff_config(method, maxit=10)
+    clean = []
+    solve(eq, cfg, callback=lambda info: clean.append(info.X))
+    assert len(clean) >= 2
+
+    poison_step(monkeypatch, call)
+    with pytest.warns(RuntimeWarning, match=f"{coeff} is not finite") as caught:
+        x, rep = solve(eq, cfg, compute_true_residual=True)
+    assert len(caught) == 1
+    assert rep.status == "breakdown"
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert len(rep.residual_estimates) == len(rep.ranks) == 2
+    assert len(rep.inner_pcg_iters) == 1
+    # The last finite iterate is returned: the clean solve's first one.
+    for got, want in zip((x.left, x.core, x.right),
+                         (clean[0].left, clean[0].core, clean[0].right)):
+        assert np.array_equal(got, want)
+    assert np.isfinite(rep.true_final_residual)
+    assert np.isfinite(rep.residual_estimates).all()
+
+
+def test_non_finite_estimate_breaks_down_at_the_last_finite_iterate(monkeypatch):
+    import mteq.solver
+    from mteq.sketch import sketched_residual_truncate
+
+    eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
+    calls = []
+
+    def patched(*args):
+        r, estimate = sketched_residual_truncate(*args)
+        calls.append(estimate)
+        return r, (np.nan if len(calls) == 2 else estimate)
+
+    monkeypatch.setattr(mteq.solver, "sketched_residual_truncate", patched)
+    with pytest.warns(RuntimeWarning, match="residual estimate is not finite"):
+        x, rep = solve(eq, convdiff_config("ss_gcr1", maxit=10))
+    assert rep.status == "breakdown"
+    assert rep.iterations == 0
+    assert rep.residual_estimates == calls[:1]
+    assert x.is_zero
+
+    calls.clear()
+    calls.append(0.0)  # the next call is the second: the initial residual
+    with pytest.raises(ValueError, match="initial guess is not finite"):
+        solve(eq, convdiff_config("ss_gcr1", maxit=10))
 
 
 @pytest.mark.parametrize("terms", [(-1, 0), (9, 9), (0, 4)])
