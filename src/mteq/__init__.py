@@ -46,7 +46,6 @@ from .sketch import (
     SketchOperator,
     SketchPolicy,
     make_sketch,
-    residual_norm_estimate,
     sketched_residual_truncate,
 )
 from .solver import (
@@ -89,7 +88,6 @@ __all__ = [
     "load_manifest",
     "make_sketch",
     "residual_factored",
-    "residual_norm_estimate",
     "save_manifest",
     "sketched_residual_truncate",
     "solve",

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,20 +49,22 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    # Every default is the config dataclasses' own; names there use "_".
+    default = SolverConfig()
     group = parser.add_argument_group("solver")
-    group.add_argument("--method", choices=("ss-mr", "ss-gcr1"), default="ss-gcr1")
-    group.add_argument("--tol", type=float, default=1e-6,
+    group.add_argument("--method", choices=("ss-mr", "ss-gcr1"),
+                       default=default.method.replace("_", "-"))
+    group.add_argument("--tol", type=float, default=default.tol,
                        help="relative residual stopping tolerance")
-    group.add_argument("--maxit", type=int, default=50)
-    group.add_argument("--maxrank", type=int, default=50)
-    group.add_argument("--toltrank", type=float, default=1e-10,
+    group.add_argument("--maxit", type=int, default=default.maxit)
+    group.add_argument("--maxrank", type=int, default=default.truncation.maxrank)
+    group.add_argument("--toltrank", type=float, default=default.truncation.toltrank,
                        help="relative singular-value truncation cutoff")
     group.add_argument("--seed", type=int, default=None,
-                       help="sketch seed (default: MTEQ_SEED env var or 0)")
-    group.add_argument("--direct-threshold", type=int, default=4000,
-                       help="assemble the projected system while q_k^2 is below this")
-    group.add_argument("--pcg-tol", type=float, default=1e-4)
-    group.add_argument("--pcg-maxit", type=int, default=200)
+                       help="sketch seed (default: MTEQ_SEED env var, "
+                            f"else {default.sketch_seed})")
+    group.add_argument("--pcg-tol", type=float, default=default.inner.pcg_tol)
+    group.add_argument("--pcg-maxit", type=int, default=default.inner.pcg_maxit)
     group.add_argument(
         "--inner-precond-terms", type=str, default=None, metavar="I,J",
         help="1-based term pair preconditioning the inner PCG "
@@ -69,12 +72,12 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     )
     group = parser.add_argument_group("preconditioner")
     group.add_argument("--precond", choices=("none", "one-term", "two-term-adi"),
-                       default="none")
+                       default=default.preconditioner.kind.replace("_", "-"))
     group.add_argument("--precond-index", type=int, default=1,
                        help="1-based term index (one-term)")
     group.add_argument("--precond-terms", type=str, default="1,2", metavar="I,J",
                        help="1-based term pair (two-term-adi)")
-    group.add_argument("--adi-iters", type=int, default=8)
+    group.add_argument("--adi-iters", type=int, default=default.preconditioner.t_adi)
     group.add_argument("--shift-source",
                        choices=("analytic-laplacian", "estimated"), default=None,
                        help="ADI spectral intervals (default: analytic for "
@@ -112,7 +115,7 @@ def _build_problem(args) -> tuple:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("MTEQ_SEED", "0"))
+    return int(os.environ.get("MTEQ_SEED", SolverConfig.sketch_seed))
 
 
 def _build_config(args, p: int) -> SolverConfig:
@@ -147,7 +150,6 @@ def _build_config(args, p: int) -> SolverConfig:
         maxit=args.maxit,
         truncation=TruncationConfig(toltrank=args.toltrank, maxrank=args.maxrank),
         inner=InnerSolveConfig(
-            direct_threshold=args.direct_threshold,
             pcg_tol=args.pcg_tol,
             pcg_maxit=args.pcg_maxit,
             inner_precond_terms=inner_pair,
@@ -178,15 +180,7 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "problem": descriptor,
-        "config": {
-            "method": cfg.method,
-            "tol": cfg.tol,
-            "maxit": cfg.maxit,
-            "maxrank": cfg.truncation.maxrank,
-            "toltrank": cfg.truncation.toltrank,
-            "sketch_seed": cfg.sketch_seed,
-            "preconditioner": cfg.preconditioner.kind,
-        },
+        "config": asdict(cfg),
         "result": report.as_dict(),
         "versions": {"mteq": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
@@ -209,20 +203,15 @@ def _cmd_solve(args) -> int:
 
 
 def _bench_case(case) -> dict:
+    """One grid point, configured as ``mteq solve`` would be by the same flags."""
     n, eps, method, seed = case
-    maxrank = 50 if eps >= 0.1 else 70
-    eq = build_convdiff(ConvDiffSpec(n=n, eps=eps))
-    cfg = SolverConfig(
-        method=method,
-        tol=1e-6,
-        maxit=50,
-        truncation=TruncationConfig(toltrank=1e-10, maxrank=maxrank),
-        inner=InnerSolveConfig(inner_precond_terms=(0, 1)),
-        sketch_seed=seed,
-        preconditioner=PreconditionerSpec.two_term_adi(
-            indices=(0, 1), t_adi=8, shift_source="analytic_laplacian"
-        ),
-    )
+    args = build_parser().parse_args([
+        "solve", "--n", str(n), "--eps", str(eps), "--method", method,
+        "--maxrank", "50" if eps >= 0.1 else "70", "--precond", "two-term-adi",
+        "--seed", str(seed),
+    ])
+    eq, _ = _build_problem(args)
+    cfg = _build_config(args, eq.p)
     t0 = time.perf_counter()
     x, report = solve(eq, cfg)
     elapsed = time.perf_counter() - t0
@@ -230,7 +219,7 @@ def _bench_case(case) -> dict:
     return {
         "n": n,
         "eps": eps,
-        "method": method,
+        "method": cfg.method,
         "k": report.iterations,
         "rank": report.final_rank,
         "pcg_min": min(t[0] for t in pcg) if pcg else None,
@@ -249,7 +238,7 @@ def _cmd_bench(args) -> int:
         (n, eps, method, _seed(args))
         for eps in (0.1, 0.01)
         for n in sizes
-        for method in ("ss_gcr1", "ss_mr")
+        for method in ("ss-gcr1", "ss-mr")
     ]
     if not cases:
         raise ValueError(f"no grid size left to run: --quick keeps only n <= {_QUICK_LIMIT}")

@@ -29,23 +29,28 @@ class PreconditionerSpec:
     """Selection of the preconditioning strategy.
 
     ``kind`` is one of ``"none"``, ``"one_term"`` or ``"two_term_adi"``.
-    Term indices are zero-based. For ``one_term``, ``index`` names the term
-    whose coefficient pair is inverted. For ``two_term_adi``, ``indices``
-    names the pair of terms whose left/right coefficients form the
-    Sylvester leading part, and ``shift_source`` is ``"analytic_laplacian"``
-    (closed-form interval of a scaled 1D Dirichlet second-difference matrix)
-    or ``"estimated"`` (power iterations on the symmetric part).
+    ``indices`` holds zero-based term indices, as many as the kind uses:
+    none for ``none``; for ``one_term`` the one term whose coefficient pair
+    is inverted; for ``two_term_adi`` the pair of terms whose left/right
+    coefficients form the Sylvester leading part. ``shift_source`` is
+    ``"analytic_laplacian"`` (closed-form interval of a positive multiple
+    of ``tridiag(-1, 2, -1)``) or ``"estimated"`` (power iterations on the
+    symmetric part).
     """
 
     kind: str = "none"
-    index: int = 0
-    indices: tuple[int, int] = (0, 1)
+    indices: tuple[int, ...] = ()
     t_adi: int = 8
     shift_source: str = "estimated"
 
     def __post_init__(self):
-        if self.kind not in ("none", "one_term", "two_term_adi"):
+        arity = {"none": 0, "one_term": 1, "two_term_adi": 2}.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown preconditioner kind {self.kind!r}")
+        object.__setattr__(self, "indices", tuple(self.indices))
+        if len(self.indices) != arity:
+            raise ValueError(f"{self.kind} takes {arity} term indices, "
+                             f"got {self.indices}")
         if self.shift_source not in ("analytic_laplacian", "estimated"):
             raise ValueError(f"unknown shift source {self.shift_source!r}")
         if self.t_adi < 1:
@@ -57,7 +62,7 @@ class PreconditionerSpec:
 
     @classmethod
     def one_term(cls, index: int) -> "PreconditionerSpec":
-        return cls(kind="one_term", index=index)
+        return cls(kind="one_term", indices=(index,))
 
     @classmethod
     def two_term_adi(
@@ -66,12 +71,8 @@ class PreconditionerSpec:
         t_adi: int = 8,
         shift_source: str = "estimated",
     ) -> "PreconditionerSpec":
-        return cls(
-            kind="two_term_adi",
-            indices=tuple(indices),
-            t_adi=t_adi,
-            shift_source=shift_source,
-        )
+        return cls(kind="two_term_adi", indices=indices, t_adi=t_adi,
+                   shift_source=shift_source)
 
 
 def _elliptic_shifts(a: float, b: float, t_adi: int) -> np.ndarray:
@@ -125,16 +126,22 @@ def wachspress_shifts(
     return sign * _elliptic_shifts(min(a, c), max(b, d), t_adi)
 
 
-def analytic_laplacian_interval(matrix) -> tuple[float, float]:
+def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
     """Closed-form extreme eigenvalues of a scaled 1D Dirichlet second-difference matrix.
 
-    Assumes ``matrix = c * tridiag(-1, 2, -1) / h**2`` for some positive
-    scaling, so its constant diagonal determines ``c / h**2`` and the
-    eigenvalues are ``4 c / h**2 * sin(k pi / (2 (N + 1)))**2``.
+    For ``matrix = c * tridiag(-1, 2, -1)`` with ``c > 0`` (``c = eps / h**2``
+    in the benchmark) the eigenvalues are ``4 c sin(k pi / (2 (N + 1)))**2``.
+    Any other matrix, entries off by more than ``1e-12 c`` included, raises
+    ``ValueError`` naming the coefficient as ``name``: the formula would
+    give a wrong interval for it.
     """
     n = matrix.shape[0]
-    diag = matrix.diagonal() if sp.issparse(matrix) else np.diagonal(matrix)
-    d0 = float(diag[0])
+    csr = sp.csr_matrix(matrix)
+    d0 = float(csr[0, 0])
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    if not d0 > 0 or abs(csr - 0.5 * d0 * lap).max() > 1e-12 * d0:
+        raise ValueError(f"{name} is not a positive multiple of tridiag(-1, 2, -1), "
+                         "so the analytic_laplacian shift source does not apply")
     lo = 2.0 * d0 * np.sin(np.pi / (2 * (n + 1))) ** 2
     hi = 2.0 * d0 * np.sin(n * np.pi / (2 * (n + 1))) ** 2
     return lo, hi
@@ -330,12 +337,11 @@ def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
     """
     if spec.kind == "none":
         return NonePreconditioner()
-    indices = (spec.index,) if spec.kind == "one_term" else spec.indices
-    if not all(0 <= i < eq.p for i in indices):
-        raise ValueError(f"term indices {indices} outside 0..{eq.p - 1}")
+    if not all(0 <= i < eq.p for i in spec.indices):
+        raise ValueError(f"term indices {spec.indices} outside 0..{eq.p - 1}")
     if spec.kind == "one_term":
-        k = spec.index + 1
-        return OneTermPreconditioner(*eq.terms[spec.index], names=(f"A_{k}", f"B_{k}"))
+        (i,) = spec.indices
+        return OneTermPreconditioner(*eq.terms[i], names=(f"A_{i + 1}", f"B_{i + 1}"))
     i, j = spec.indices
     a, b = eq.terms[i][0], eq.terms[j][1]
     names = (f"A_{i + 1}", f"B_{j + 1}")
@@ -348,7 +354,8 @@ def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):
                 RuntimeWarning,
             )
     if spec.shift_source == "analytic_laplacian":
-        intervals = analytic_laplacian_interval(a), analytic_laplacian_interval(b)
+        intervals = (analytic_laplacian_interval(a, name=names[0]),
+                     analytic_laplacian_interval(b, name=names[1]))
     else:
         intervals = estimated_interval(a, name=names[0]), estimated_interval(b, name=names[1])
     return TwoTermAdiPreconditioner(

@@ -25,24 +25,30 @@ from .lowrank import LowRankMatrix
 from .operator import MultitermEquation, apply_L, left_stack, right_stack
 
 
+#: The assembled (direct Cholesky) path is taken while ``q_k**2`` stays
+#: below this; larger projected systems run matrix-form PCG.
+DIRECT_THRESHOLD = 4000
+
+
 @dataclass(frozen=True)
 class InnerSolveConfig:
-    """Switching rule and PCG settings for the projected solves.
+    """PCG settings for the projected solves.
 
-    The assembled (direct Cholesky) path is taken while ``q_k**2`` stays
-    below ``direct_threshold``. ``inner_precond_terms`` designates the two
-    leading terms whose diagonal Gram blocks precondition the PCG path;
-    ``None`` means no preconditioning.
+    PCG stops once the residual falls below ``pcg_tol`` relative to the
+    right-hand side, or after ``pcg_maxit`` iterations.
+    ``inner_precond_terms`` designates the two leading terms whose diagonal
+    Gram blocks precondition it; ``None`` means no preconditioning.
     """
 
-    direct_threshold: int = 4000
     pcg_tol: float = 1e-4
     pcg_maxit: int = 200
     inner_precond_terms: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.direct_threshold <= 0 or self.pcg_maxit <= 0:
-            raise ValueError("thresholds must be positive")
+        if not 0.0 < self.pcg_tol < 1.0:
+            raise ValueError(f"pcg_tol must lie in (0, 1), got {self.pcg_tol}")
+        if self.pcg_maxit <= 0:
+            raise ValueError(f"pcg_maxit must be positive, got {self.pcg_maxit}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class ReducedSystem:
     ``left_grams[i, j] = P_l.T A_i.T A_j P_l`` and
     ``right_grams[i, j] = P_r.T B_i B_j.T P_r``, each ``q_k x q_k``, stored
     row index first for copy-free GEMMs. Construction chooses the path,
-    ``"direct"`` while ``q_k**2 < cfg.direct_threshold`` and ``"pcg"``
+    ``"direct"`` while ``q_k**2 < DIRECT_THRESHOLD`` and ``"pcg"``
     otherwise, and prepares it: the direct path factors the assembled
     matrix, the PCG path builds the inner preconditioner of
     ``cfg.inner_precond_terms``. :func:`solve_reduced` then solves for any
@@ -73,7 +79,7 @@ class ReducedSystem:
 
     def __post_init__(self):
         qk = self.q_k
-        path = "direct" if qk * qk < self.cfg.direct_threshold else "pcg"
+        path = "direct" if qk * qk < DIRECT_THRESHOLD else "pcg"
         inverse, regularized = None, False
         if qk and path == "direct":
             solve, regularized = self._factor()

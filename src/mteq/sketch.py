@@ -137,16 +137,6 @@ class SketchPolicy:
         return s_a, s_b
 
 
-def residual_norm_estimate(sigma: np.ndarray) -> float:
-    """Frobenius norm of the (sketched) residual from its full core spectrum.
-
-    The estimate is used directly in the stopping test; no inflation
-    constant is applied, and the true residual can be recomputed after
-    termination for verification.
-    """
-    return float(np.linalg.norm(np.asarray(sigma)))
-
-
 def _sketched_side(f: np.ndarray, sketch: SketchOperator | None) -> tuple | None:
     """``(R_s, u -> f @ inv(R_s) @ u)`` from the skinny QR of ``sketch(f)``.
 
@@ -187,4 +177,4 @@ def sketched_residual_truncate(
     m = residual_factored(eq, x)
     sides = (_sketched_side(m.left, s_a), _sketched_side(m.right, s_b))
     out, sigma = truncated_svd(m.left, m.core, m.right, cfg, sides=sides)
-    return out, residual_norm_estimate(sigma)
+    return out, float(np.linalg.norm(sigma))

@@ -20,7 +20,7 @@ import math
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -97,22 +97,8 @@ class SolveReport:
         return self.ranks[-1][0] if self.ranks else 0
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "status": self.status,
-            "iterations": self.iterations,
-            "residual_estimates": self.residual_estimates,
-            "ranks": [list(r) for r in self.ranks],
-            "inner_pcg_iters": [list(t) if t is not None else None
-                                for t in self.inner_pcg_iters],
-            "wall_times": self.wall_times,
-            "rhs_norm": self.rhs_norm,
-            "sketch_mode": self.sketch_mode,
-            "sketch_dim": self.sketch_dim,
-            "sketch_n_fft": list(self.sketch_n_fft),
-            "true_final_residual": self.true_final_residual,
-            "final_rank": self.final_rank,
-        }
+        """Every field, in declaration order, then ``final_rank``."""
+        return asdict(self) | {"final_rank": self.final_rank}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -10,20 +11,36 @@ import scipy.sparse as sp
 
 import mteq
 from mteq import _blas
-from mteq import ConvDiffSpec, MultitermEquation, build_convdiff, save_manifest
-from mteq.cli import main
+from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, PreconditionerSpec,
+                  SolverConfig, TruncationConfig, build_convdiff, save_manifest)
+from mteq.cli import _build_config, build_parser, main
 
 from conftest import poison_step, vanish_first_steps
 
 
-def run_solve(tmp_path, extra=()):
-    argv = [
+def solve_argv(tmp_path, extra=()):
+    return [
         "solve", "--problem", "convdiff", "--n", "34", "--eps", "0.1",
         "--method", "ss-gcr1", "--maxrank", "20", "--tol", "1e-8",
         "--toltrank", "1e-12", "--precond", "two-term-adi", "--adi-iters", "4",
         "--seed", "7", "--out-dir", str(tmp_path), *extra,
     ]
-    return main(argv)
+
+
+def run_solve(tmp_path, extra=()):
+    return main(solve_argv(tmp_path, extra))
+
+
+def config_from_report(config: dict) -> SolverConfig:
+    """The nested dataclasses of a report's ``config``; JSON lists read back as tuples."""
+    def fields(d):
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+
+    return SolverConfig(**config | {
+        "truncation": TruncationConfig(**config["truncation"]),
+        "inner": InnerSolveConfig(**fields(config["inner"])),
+        "preconditioner": PreconditionerSpec(**fields(config["preconditioner"])),
+    })
 
 
 def test_solve_writes_report_and_history(tmp_path):
@@ -32,7 +49,7 @@ def test_solve_writes_report_and_history(tmp_path):
     assert report["result"]["status"] == "converged"
     assert report["versions"] == {"mteq": mteq.__version__, "numpy": np.__version__,
                                   "scipy": scipy.__version__}
-    assert report["config"]["maxrank"] == 20
+    assert report["config"]["truncation"]["maxrank"] == 20
     assert report["problem"] == {"problem": "convdiff", "n": 34, "eps": 0.1}
     # Both dimensions (32) are below s = 2 (p maxrank + q): nothing is sketched.
     assert report["result"]["sketch_mode"] == "exact"
@@ -42,6 +59,19 @@ def test_solve_writes_report_and_history(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["k", "residual_estimate", "rank_x", "rank_r", "rank_p"]
     assert len(rows) - 1 == report["result"]["iterations"] + 1
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--precond", "one-term", "--precond-index", "2", "--inner-precond-terms", "none",
+     "--pcg-tol", "1e-6", "--pcg-maxit", "50", "--maxit", "3"],
+])
+def test_report_config_rebuilds_the_solve_config(tmp_path, extra):
+    argv = solve_argv(tmp_path, extra)
+    assert main(argv) in (0, 3)
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert list(config) == [f.name for f in dataclasses.fields(SolverConfig)]
+    assert config_from_report(config) == _build_config(build_parser().parse_args(argv), 4)
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -90,6 +120,14 @@ def test_inner_precond_terms_out_of_range_exits_2(tmp_path, capsys, pair):
     assert code == 2
     assert f"--inner-precond-terms {pair}: term indices run from 1 to 4" \
         in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1", "2.5"])
+def test_pcg_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, value):
+    code = run_solve(tmp_path, extra=["--pcg-tol", value])
+    assert code == 2
+    assert "pcg_tol must lie in (0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -191,6 +229,23 @@ def test_manifest_with_singular_preconditioner_coefficient_exits_2(tmp_path, cap
     assert not (tmp_path / "report.json").exists()
 
 
+def test_analytic_shifts_of_a_non_laplacian_coefficient_exit_2(tmp_path, capsys):
+    n = 12
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    eye = sp.identity(n, format="csr")
+    graded = sp.diags(np.arange(1.0, n + 1), format="csr")
+    rng = np.random.default_rng(0)
+    eq = MultitermEquation(terms=[(graded, eye), (eye, lap)],
+                           C=rng.standard_normal((n, 1)), D=rng.standard_normal((n, 1)))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--precond", "two-term-adi", "--shift-source", "analytic-laplacian",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "A_1 is not a positive multiple of tridiag(-1, 2, -1)" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_manifest_source_requires_path(tmp_path, capsys):
     code = main(["solve", "--problem", "manifest", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -237,6 +292,28 @@ def test_bench_quick_emits_all_columns(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4  # 1 size x 2 eps x 2 methods
     assert all(float(row["res"]) <= 1e-6 for row in rows)
+
+
+def test_bench_configures_each_grid_point_as_the_acceptance_benchmark(tmp_path, monkeypatch):
+    configs = []
+    solve = mteq.cli.solve
+    monkeypatch.setattr(mteq.cli, "solve", lambda eq, cfg: configs.append(cfg) or solve(eq, cfg))
+    assert main(["bench", "--quick", "--sizes", "66", "--seed", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    # The configuration the bench used to write out by hand.
+    expected = [
+        SolverConfig(
+            method=method, tol=1e-6, maxit=50,
+            truncation=TruncationConfig(toltrank=1e-10, maxrank=50 if eps >= 0.1 else 70),
+            inner=InnerSolveConfig(inner_precond_terms=(0, 1)),
+            sketch_seed=3,
+            preconditioner=PreconditionerSpec.two_term_adi(
+                indices=(0, 1), t_adi=8, shift_source="analytic_laplacian"),
+        )
+        for eps in (0.1, 0.01) for method in ("ss_gcr1", "ss_mr")
+    ]
+    assert [dataclasses.asdict(c) for c in configs] == \
+        [dataclasses.asdict(c) for c in expected]
 
 
 def test_bench_quick_with_no_size_left_exits_2(tmp_path, capsys):

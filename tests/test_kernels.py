@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mteq.reduced
 from mteq import (
-    InnerSolveConfig,
     LowRankMatrix,
     MultitermEquation,
     TruncationConfig,
@@ -268,7 +268,7 @@ def test_build_reduced_from_direction_skips_rank_check_only_when_orthonormal():
     assert np.array_equal(sys.assemble(), ref.assemble())
 
 
-def test_in_place_factorization_regularizes_a_singular_system():
+def test_in_place_factorization_regularizes_a_singular_system(monkeypatch):
     # A zero direction column makes the assembled matrix singular, so the
     # in-place Cholesky fails and the floor-regularized path runs.
     rng = np.random.default_rng(7)
@@ -281,8 +281,9 @@ def test_in_place_factorization_regularizes_a_singular_system():
             sys = build_reduced(eq, p)
     assert sys.regularized
     # The in-place factorization left the Gram blocks alone.
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     with pytest.warns(RuntimeWarning, match="rank deficient"):
-        unfactored = build_reduced(eq, p, InnerSolveConfig(direct_threshold=1))
+        unfactored = build_reduced(eq, p)
     assert np.array_equal(sys.assemble(), unfactored.assemble())
     rhs = rng.standard_normal((3, 3))
     rhs[2] = 0.0

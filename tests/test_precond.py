@@ -123,6 +123,23 @@ def test_analytic_interval_on_benchmark_operator():
     assert hi == pytest.approx(lam[-1], rel=1e-8)
 
 
+def test_analytic_interval_rejects_other_matrices():
+    # The closed form read only the first diagonal entry: diag(1..100) got
+    # [4.8e-4, 2.0] where its spectrum is [1, 100].
+    n = 100
+    lap = dirichlet_laplacian(n, scale=0.37)
+    near = lap.tolil()
+    near[n // 2, n // 2 + 1] *= 1.0 + 1e-6
+    for matrix in (sp.diags(np.arange(1.0, n + 1)), -lap, near.tocsr(),
+                   lap + sp.diags(np.full(n, 1e-3)), lap.toarray() + 1e-3):
+        with pytest.raises(ValueError, match="A_1 is not a positive multiple"):
+            analytic_laplacian_interval(matrix, name="A_1")
+    # Dense input, and an entry a rounding error off the stencil, still pass.
+    dense = lap.toarray()
+    dense[n // 2, n // 2 + 1] *= 1.0 + 1e-14
+    assert analytic_laplacian_interval(dense) == analytic_laplacian_interval(lap)
+
+
 def test_estimated_interval_brackets_spectrum():
     rng = np.random.default_rng(4)
     a = sp.csr_matrix(random_spd(rng, 40, spread=(0.5, 8.0)))
@@ -211,8 +228,16 @@ def test_spec_validation():
         PreconditionerSpec(kind="bogus")
     with pytest.raises(ValueError):
         PreconditionerSpec.two_term_adi(t_adi=0)
-    with pytest.raises(ValueError):
-        PreconditionerSpec(kind="two_term_adi", shift_source="magic")
+    with pytest.raises(ValueError, match="shift source"):
+        PreconditionerSpec.two_term_adi(shift_source="magic")
+    # One term index per kind's term: none, one, two.
+    assert PreconditionerSpec().indices == ()
+    assert PreconditionerSpec.one_term(2).indices == (2,)
+    assert PreconditionerSpec.two_term_adi(indices=[1, 0]).indices == (1, 0)
+    for kind, indices in [("none", (0,)), ("one_term", ()), ("one_term", (0, 1)),
+                          ("two_term_adi", (0,))]:
+        with pytest.raises(ValueError, match="term indices"):
+            PreconditionerSpec(kind=kind, indices=indices)
 
 
 def test_term_indices_validated_at_build():

@@ -176,33 +176,31 @@ def test_direct_solution_satisfies_assembled_system():
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_direct_and_pcg_paths_agree():
+def test_direct_and_pcg_paths_agree(monkeypatch):
     rng = np.random.default_rng(13)
     eq = random_posdef_equation(rng, 14, 14, 2, 1, nonsym=0.05)
     p_l = orthonormal(rng, 14, 5)
     p_r = orthonormal(rng, 14, 5)
     p = direction(p_l, p_r)
     rhs = rng.standard_normal((5, 5))
-    direct, info_d = solve_reduced(
-        build_reduced(eq, p, InnerSolveConfig(direct_threshold=4000)), rhs)
+    direct, info_d = solve_reduced(build_reduced(eq, p), rhs)
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     pcg, info_p = solve_reduced(
-        build_reduced(eq, p, InnerSolveConfig(direct_threshold=1, pcg_tol=1e-6,
-                                              pcg_maxit=500)),
-        rhs,
-    )
+        build_reduced(eq, p, InnerSolveConfig(pcg_tol=1e-6, pcg_maxit=500)), rhs)
     assert info_d["path"] == "direct" and info_p["path"] == "pcg"
     assert info_p["converged"]
     assert np.linalg.norm(direct - pcg) <= 1e-3 * np.linalg.norm(direct)
 
 
-def test_pcg_with_two_term_preconditioner():
+def test_pcg_with_two_term_preconditioner(monkeypatch):
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     rng = np.random.default_rng(14)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p_l = orthonormal(rng, 16, 6)
     p_r = orthonormal(rng, 16, 6)
     p = direction(p_l, p_r)
     rhs = rng.standard_normal((6, 6))
-    cfg = InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500)
+    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500)
     plain, info_plain = solve_reduced(build_reduced(eq, p, cfg), rhs)
     cfg = dataclasses.replace(cfg, inner_precond_terms=(0, 1))
     pre, info_pre = solve_reduced(build_reduced(eq, p, cfg), rhs)
@@ -235,12 +233,12 @@ def test_system_is_frozen_and_factored_once(monkeypatch):
 
 
 def test_inner_preconditioner_built_once_per_direction(monkeypatch):
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     rng = np.random.default_rng(17)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p_l, p_r = orthonormal(rng, 16, 5), orthonormal(rng, 16, 5)
     r, z = random_lowrank(rng, 16, 16, 2), random_lowrank(rng, 16, 16, 2)
-    cfg = InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500,
-                           inner_precond_terms=(0, 1))
+    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500, inner_precond_terms=(0, 1))
     calls = []
     eigh = mteq.reduced.sla.eigh
     monkeypatch.setattr(mteq.reduced.sla, "eigh",
@@ -281,11 +279,12 @@ def test_clipped_eigh_solves_when_both_choleskys_fail(monkeypatch):
 
 
 def test_failed_inner_preconditioner_setup_runs_plain_cg(monkeypatch):
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     rng = np.random.default_rng(20)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p = direction(orthonormal(rng, 16, 5), orthonormal(rng, 16, 5))
     rhs = rng.standard_normal((5, 5))
-    cfg = InnerSolveConfig(direct_threshold=1, pcg_tol=1e-8, pcg_maxit=500)
+    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500)
     plain, info_plain = solve_reduced(build_reduced(eq, p, cfg), rhs)
 
     def failing(*args, **kwargs):
@@ -301,10 +300,10 @@ def test_failed_inner_preconditioner_setup_runs_plain_cg(monkeypatch):
 
 
 def test_inner_config_validation():
-    with pytest.raises(ValueError):
-        InnerSolveConfig(direct_threshold=0)
-    with pytest.raises(ValueError):
-        InnerSolveConfig(pcg_maxit=0)
+    for name, value in [("pcg_maxit", 0), ("pcg_tol", 0.0), ("pcg_tol", 1.0),
+                        ("pcg_tol", -1e-4)]:
+        with pytest.raises(ValueError, match=name):
+            InnerSolveConfig(**{name: value})
 
 
 def test_minimizer_property():

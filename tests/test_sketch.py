@@ -13,7 +13,6 @@ from mteq import (
     apply_L,
     make_sketch,
     residual_factored,
-    residual_norm_estimate,
     sketched_residual_truncate,
     truncate,
 )
@@ -120,10 +119,6 @@ def test_policy_mode_selection():
     assert SketchPolicy.from_dimensions(30, 30, 2, 2, 10).mode == "exact"
     assert SketchPolicy.from_dimensions(30, 100, 2, 2, 10).mode == "exact"
     assert SketchPolicy.from_dimensions(100, 100, 2, 2, 10).s == 44
-
-
-def test_estimate_zero_spectrum():
-    assert residual_norm_estimate(np.zeros(4)) == 0.0
 
 
 def test_exact_mode_estimate_is_true_norm():

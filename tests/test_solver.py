@@ -1,5 +1,7 @@
 """Solver drivers: exactness, convergence bounds, degenerations, reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -192,7 +194,9 @@ def test_report_lengths_consistent():
     assert len(rep.ranks) == rep.iterations + 1
     assert len(rep.inner_pcg_iters) == rep.iterations
     assert rep.wall_times["total"] > 0
-    assert rep.as_dict()["status"] == rep.status
+    result = rep.as_dict()
+    assert list(result) == [f.name for f in dataclasses.fields(rep)] + ["final_rank"]
+    assert result["status"] == rep.status and result["final_rank"] == rep.final_rank
 
 
 def test_nonzero_initial_guess():
