@@ -77,7 +77,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                        help="1-based term index (one-term)")
     group.add_argument("--precond-terms", type=str, default="1,2", metavar="I,J",
                        help="1-based term pair (two-term-adi)")
-    group.add_argument("--adi-iters", type=int, default=default.preconditioner.t_adi)
+    group.add_argument("--adi-iters", type=int,
+                       default=PreconditionerSpec.two_term_adi().t_adi)
     group.add_argument("--shift-source",
                        choices=("analytic-laplacian", "estimated"), default=None,
                        help="ADI spectral intervals (default: analytic for "

@@ -4,9 +4,10 @@ A one-term preconditioner inverts a single coefficient pair exactly through
 cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters derived
-from spectral intervals of the two coefficients. A coefficient whose band
-is narrow next to its nonzeros is factored by LAPACK's banded LU, any other
-by SuperLU.
+from spectral intervals of the two coefficients. A symmetric positive
+definite tridiagonal coefficient is factored by LAPACK's LDL^T, one whose
+band is narrow next to its nonzeros by LAPACK's banded LU, any other by
+SuperLU.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 from .lowrank import LowRankMatrix
 from .operator import MultitermEquation
@@ -32,7 +33,9 @@ class PreconditionerSpec:
     ``indices`` holds zero-based term indices, as many as the kind uses:
     none for ``none``; for ``one_term`` the one term whose coefficient pair
     is inverted; for ``two_term_adi`` the pair of terms whose left/right
-    coefficients form the Sylvester leading part. ``shift_source`` is
+    coefficients form the Sylvester leading part. ``t_adi`` (the number of
+    ADI sweeps) and ``shift_source`` are set for ``two_term_adi`` and only
+    for it; :meth:`two_term_adi` gives their defaults. ``shift_source`` is
     ``"analytic_laplacian"`` (closed-form interval of a positive multiple
     of ``tridiag(-1, 2, -1)``) or ``"estimated"`` (power iterations on the
     symmetric part).
@@ -40,8 +43,8 @@ class PreconditionerSpec:
 
     kind: str = "none"
     indices: tuple[int, ...] = ()
-    t_adi: int = 8
-    shift_source: str = "estimated"
+    t_adi: int | None = None
+    shift_source: str | None = None
 
     def __post_init__(self):
         arity = {"none": 0, "one_term": 1, "two_term_adi": 2}.get(self.kind)
@@ -51,10 +54,14 @@ class PreconditionerSpec:
         if len(self.indices) != arity:
             raise ValueError(f"{self.kind} takes {arity} term indices, "
                              f"got {self.indices}")
+        if self.kind != "two_term_adi":
+            if (self.t_adi, self.shift_source) != (None, None):
+                raise ValueError(f"{self.kind} takes no t_adi or shift_source")
+            return
         if self.shift_source not in ("analytic_laplacian", "estimated"):
             raise ValueError(f"unknown shift source {self.shift_source!r}")
-        if self.t_adi < 1:
-            raise ValueError("t_adi must be at least 1")
+        if self.t_adi is None or self.t_adi < 1:
+            raise ValueError(f"t_adi must be at least 1, got {self.t_adi}")
 
     @classmethod
     def none(cls) -> "PreconditionerSpec":
@@ -219,18 +226,38 @@ class _BandedLU:
         return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
 
 
-def _factor(matrix, label: str):
-    """LU factors of a square matrix, solved through ``.solve(b)``.
+class _TridiagonalLDLt:
+    """LAPACK LDL^T (``pttrf``) of a symmetric positive definite tridiagonal
+    matrix, solved through ``pttrs``."""
 
-    A matrix whose band storage, ``(2 kl + ku + 1) n`` entries, is at most
-    twice its nonzeros (diagonal, tri- and pentadiagonal ones) goes to
-    LAPACK's banded LU; any other, such as a 2D stencil, to SuperLU. A
-    singular matrix raises ``ValueError`` naming it as ``label``.
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self._d, self._e = d, e
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dpttrs(self._d, self._e, b)[0]
+
+
+def _factor(matrix, label: str):
+    """Factors of a square matrix, solved through ``.solve(b)``.
+
+    A symmetric tridiagonal matrix goes to LAPACK's LDL^T when it is
+    positive definite. Otherwise, a matrix whose band storage,
+    ``(2 kl + ku + 1) n`` entries, is at most twice its nonzeros (diagonal,
+    tri- and pentadiagonal ones) goes to LAPACK's banded LU; any other, such
+    as a 2D stencil, to SuperLU. A singular matrix raises ``ValueError``
+    naming it as ``label``.
     """
     coo = sp.coo_matrix(matrix)
     coo.sum_duplicates()  # the band is filled by assignment
     offsets = coo.col - coo.row
     kl, ku = max(-offsets.min(initial=0), 0), max(offsets.max(initial=0), 0)
+    if kl == ku == 1:
+        rows = np.zeros((3, coo.shape[1]))  # column i: A[i, i-1], A[i, i], A[i, i+1]
+        rows[1 + offsets, coo.row] = coo.data
+        if np.array_equal(rows[0, 1:], rows[2, :-1]):
+            d, e, info = dpttrf(rows[1], rows[2, :-1], overwrite_d=1, overwrite_e=1)
+            if info == 0:  # else not positive definite: the banded LU takes it
+                return _TridiagonalLDLt(d, e)
     try:
         if (2 * kl + ku + 1) * coo.shape[1] <= 2 * coo.nnz:
             return _BandedLU(coo, kl, ku)
@@ -291,9 +318,11 @@ class TwoTermAdiPreconditioner:
     construction. Each application runs ``len(shifts)`` sweeps, costs one
     block solve per side and sweep, and accumulates the iterate as a sum of
     rank-``r`` outer products, one per sweep, so the output width is
-    ``len(shifts) * rank(r)`` (callers typically truncate after). A singular
-    shifted matrix raises ``ValueError`` naming the coefficient by ``names``
-    and giving the shift.
+    ``len(shifts) * rank(r)`` (callers typically truncate after). Sweep
+    ``m`` writes columns ``m * rank(r)`` onwards of one Fortran-ordered
+    factor per side, the layout LAPACK's QR in the compression takes.
+    A singular shifted matrix raises ``ValueError`` naming the coefficient
+    by ``names`` and giving the shift.
     """
 
     def __init__(self, a, b, shifts: np.ndarray, names: tuple[str, str] = ("A", "B")):
@@ -307,21 +336,18 @@ class TwoTermAdiPreconditioner:
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
             return LowRankMatrix.zeros(*r.shape)
-        s = self.shifts
-        v = self._a_lus[0].solve(r.left @ r.core)
-        w = self._bt_lus[0].solve(r.right)
-        lefts = [v]
-        rights = [w]
-        coeffs = [s[0] + s[0]]
+        s, rank = self.shifts, r.core.shape[1]
+        left = np.empty((r.shape[0], len(s) * rank), order="F")
+        right = np.empty((r.shape[1], len(s) * rank), order="F")
+        left[:, :rank] = self._a_lus[0].solve(r.left @ r.core)
+        right[:, :rank] = self._bt_lus[0].solve(r.right)
         for m in range(1, len(s)):
-            v = v - (s[m] + s[m - 1]) * self._a_lus[m].solve(v)
-            w = w - (s[m] + s[m - 1]) * self._bt_lus[m].solve(w)
-            lefts.append(v)
-            rights.append(w)
-            coeffs.append(s[m] + s[m])
-        rank = r.core.shape[1]
-        core = np.kron(np.diag(coeffs), np.eye(rank))
-        return LowRankMatrix(np.hstack(lefts), core, np.hstack(rights))
+            prev, cur = slice((m - 1) * rank, m * rank), slice(m * rank, (m + 1) * rank)
+            for lus, factor in ((self._a_lus, left), (self._bt_lus, right)):
+                v = factor[:, prev]
+                np.subtract(v, (s[m] + s[m - 1]) * lus[m].solve(v), out=factor[:, cur])
+        core = np.kron(np.diag(s + s), np.eye(rank))
+        return LowRankMatrix(left, core, right)
 
 
 def build_preconditioner(eq: MultitermEquation, spec: PreconditionerSpec):

@@ -37,7 +37,8 @@ class InnerSolveConfig:
     PCG stops once the residual falls below ``pcg_tol`` relative to the
     right-hand side, or after ``pcg_maxit`` iterations.
     ``inner_precond_terms`` designates the two leading terms whose diagonal
-    Gram blocks precondition it; ``None`` means no preconditioning.
+    Gram blocks precondition it, stored as a tuple; ``None`` means no
+    preconditioning.
     """
 
     pcg_tol: float = 1e-4
@@ -49,6 +50,11 @@ class InnerSolveConfig:
             raise ValueError(f"pcg_tol must lie in (0, 1), got {self.pcg_tol}")
         if self.pcg_maxit <= 0:
             raise ValueError(f"pcg_maxit must be positive, got {self.pcg_maxit}")
+        if self.inner_precond_terms is not None:
+            terms = tuple(self.inner_precond_terms)
+            object.__setattr__(self, "inner_precond_terms", terms)
+            if len(terms) != 2:
+                raise ValueError(f"inner_precond_terms takes two term indices, got {terms}")
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def solve(
     terms = cfg.inner.inner_precond_terms
     if terms is not None and not all(0 <= t < eq.p for t in terms):
         raise ValueError(
-            f"inner_precond_terms {tuple(terms)} outside the zero-based "
+            f"inner_precond_terms {terms} outside the zero-based "
             f"term indices 0..{eq.p - 1}"
         )
     times: dict[str, float] = {}

@@ -32,14 +32,11 @@ def run_solve(tmp_path, extra=()):
 
 
 def config_from_report(config: dict) -> SolverConfig:
-    """The nested dataclasses of a report's ``config``; JSON lists read back as tuples."""
-    def fields(d):
-        return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-
+    """The nested dataclasses of a report's ``config``."""
     return SolverConfig(**config | {
         "truncation": TruncationConfig(**config["truncation"]),
-        "inner": InnerSolveConfig(**fields(config["inner"])),
-        "preconditioner": PreconditionerSpec(**fields(config["preconditioner"])),
+        "inner": InnerSolveConfig(**config["inner"]),
+        "preconditioner": PreconditionerSpec(**config["preconditioner"]),
     })
 
 
@@ -61,16 +58,22 @@ def test_solve_writes_report_and_history(tmp_path):
     assert len(rows) - 1 == report["result"]["iterations"] + 1
 
 
-@pytest.mark.parametrize("extra", [
-    [],
-    ["--precond", "one-term", "--precond-index", "2", "--inner-precond-terms", "none",
-     "--pcg-tol", "1e-6", "--pcg-maxit", "50", "--maxit", "3"],
+@pytest.mark.parametrize(("extra", "preconditioner"), [
+    pytest.param([], {"kind": "two_term_adi", "indices": [0, 1], "t_adi": 4,
+                      "shift_source": "analytic_laplacian"}, id="extra0"),
+    # A run with no ADI records no ADI settings.
+    pytest.param(["--precond", "one-term", "--precond-index", "2",
+                  "--inner-precond-terms", "none", "--pcg-tol", "1e-6",
+                  "--pcg-maxit", "50", "--maxit", "3"],
+                 {"kind": "one_term", "indices": [1], "t_adi": None, "shift_source": None},
+                 id="extra1"),
 ])
-def test_report_config_rebuilds_the_solve_config(tmp_path, extra):
+def test_report_config_rebuilds_the_solve_config(tmp_path, extra, preconditioner):
     argv = solve_argv(tmp_path, extra)
     assert main(argv) in (0, 3)
     config = json.loads((tmp_path / "report.json").read_text())["config"]
     assert list(config) == [f.name for f in dataclasses.fields(SolverConfig)]
+    assert config["preconditioner"] == preconditioner
     assert config_from_report(config) == _build_config(build_parser().parse_args(argv), 4)
 
 

@@ -234,6 +234,15 @@ def test_spec_validation():
     assert PreconditionerSpec().indices == ()
     assert PreconditionerSpec.one_term(2).indices == (2,)
     assert PreconditionerSpec.two_term_adi(indices=[1, 0]).indices == (1, 0)
+    # ADI settings belong to the two-term kind only.
+    assert (PreconditionerSpec.two_term_adi().t_adi,
+            PreconditionerSpec.two_term_adi().shift_source) == (8, "estimated")
+    assert PreconditionerSpec.one_term(0).t_adi is None
+    assert PreconditionerSpec.none().shift_source is None
+    with pytest.raises(ValueError, match="takes no t_adi or shift_source"):
+        PreconditionerSpec(kind="one_term", indices=(0,), t_adi=8)
+    with pytest.raises(ValueError, match="t_adi must be at least 1"):
+        PreconditionerSpec(kind="two_term_adi", indices=(0, 1), shift_source="estimated")
     for kind, indices in [("none", (0,)), ("one_term", ()), ("one_term", (0, 1)),
                           ("two_term_adi", (0,))]:
         with pytest.raises(ValueError, match="term indices"):
@@ -254,25 +263,31 @@ def test_term_indices_validated_at_build():
 
 
 def band_cases():
+    """Banded matrices, each with the factor class ``_factor`` picks for it."""
     rng = np.random.default_rng(11)
     n = 60
     a3 = build_convdiff(ConvDiffSpec(n=n + 2, eps=0.1)).terms[2][0]
-    yield pytest.param(sp.diags(rng.uniform(1.0, 3.0, n)).tocsr(), id="diagonal")
+    yield pytest.param(sp.diags(rng.uniform(1.0, 3.0, n)).tocsr(), precond._BandedLU,
+                       id="diagonal")
     yield pytest.param(dirichlet_laplacian(n) + 5.0 * sp.identity(n),
-                       id="symmetric-tridiagonal")
+                       precond._TridiagonalLDLt, id="symmetric-tridiagonal")
+    # The smallest eigenvalue is about 2.47: LDL^T stops, the banded LU takes it.
+    yield pytest.param(dirichlet_laplacian(n) - 3.0 * sp.identity(n), precond._BandedLU,
+                       id="indefinite-symmetric-tridiagonal")
     # Zero diagonal plus a small shift: partial pivoting swaps rows.
-    yield pytest.param((a3 + 0.3 * sp.identity(n)).tocsr(), id="nonsymmetric-tridiagonal")
+    yield pytest.param((a3 + 0.3 * sp.identity(n)).tocsr(), precond._BandedLU,
+                       id="nonsymmetric-tridiagonal")
     offsets = [-2, -1, 0, 1, 2]
     yield pytest.param(sp.diags(
         [rng.standard_normal(n - abs(k)) + 6.0 * (k == 0) for k in offsets], offsets).tocsr(),
-        id="pentadiagonal")
+        precond._BandedLU, id="pentadiagonal")
 
 
-@pytest.mark.parametrize("matrix", band_cases())
-def test_banded_lu_matches_superlu(matrix):
+@pytest.mark.parametrize(("matrix", "kind"), band_cases())
+def test_banded_lu_matches_superlu(matrix, kind):
     rng = np.random.default_rng(12)
     lu = precond._factor(matrix, "A")
-    assert isinstance(lu, precond._BandedLU)
+    assert isinstance(lu, kind)
     ref = spla.splu(sp.csc_matrix(matrix))
     for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 5))):
         x = lu.solve(b)
@@ -294,12 +309,51 @@ def test_banded_adi_matches_superlu_reference(monkeypatch):
         analytic_laplacian_interval(a1), analytic_laplacian_interval(b2), 8)
     r = eq.rhs_lowrank()
     banded = TwoTermAdiPreconditioner(a1, b2, shifts)
-    assert all(isinstance(lu, precond._BandedLU) for lu in banded._a_lus + banded._bt_lus)
+    assert all(isinstance(lu, precond._TridiagonalLDLt)
+               for lu in banded._a_lus + banded._bt_lus)
     z = banded.apply(r).densify()
     monkeypatch.setattr(precond, "_factor",
                         lambda matrix, label: spla.splu(sp.csc_matrix(matrix)))
     ref = TwoTermAdiPreconditioner(a1, b2, shifts).apply(r).densify()
     assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_adi_apply_matches_reference_sweep():
+    eq = build_convdiff(ConvDiffSpec(n=130, eps=0.1))
+    # A_3 (convection) is nonsymmetric: its side runs on the banded LU.
+    a3, b2 = eq.terms[2][0] + 5.0 * sp.identity(128), eq.terms[1][1]
+    shifts = wachspress_shifts(estimated_interval(a3), analytic_laplacian_interval(b2), 6)
+    adi = TwoTermAdiPreconditioner(a3, b2, shifts)
+    assert all(isinstance(lu, precond._BandedLU) for lu in adi._a_lus)
+    assert all(isinstance(lu, precond._TridiagonalLDLt) for lu in adi._bt_lus)
+    r = random_lowrank(np.random.default_rng(15), 128, 128, 5)
+    z = adi.apply(r)
+    # The sweep as a list of blocks per side, joined at the end.
+    v = adi._a_lus[0].solve(r.left @ r.core)
+    w = adi._bt_lus[0].solve(r.right)
+    lefts, rights = [v], [w]
+    for m in range(1, len(shifts)):
+        v = v - (shifts[m] + shifts[m - 1]) * adi._a_lus[m].solve(v)
+        w = w - (shifts[m] + shifts[m - 1]) * adi._bt_lus[m].solve(w)
+        lefts.append(v)
+        rights.append(w)
+    assert z.left.flags.f_contiguous and z.right.flags.f_contiguous
+    assert z.left.shape[1] == z.right.shape[1] == len(shifts) * r.core.shape[1]
+    for got, expected in ((z.left, np.hstack(lefts)), (z.right, np.hstack(rights))):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    np.testing.assert_array_equal(
+        z.core, np.kron(np.diag(2 * shifts), np.eye(r.core.shape[1])))
+
+
+@pytest.mark.parametrize("shift", [-1.0, -2.0, -3.0])
+def test_symmetric_tridiagonal_at_minus_an_eigenvalue_raises_value_error(shift):
+    # tridiag(-1, 2, -1) of order 5 has the exact eigenvalues 1, 2 and 3.
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5)).tocsr()
+    assert isinstance(precond._factor(lap + 1.5 * sp.identity(5), "A"),
+                      precond._TridiagonalLDLt)
+    with pytest.raises(ValueError,
+                       match=rf"A_1 \+ q I at ADI shift q = {shift:g} is singular"):
+        TwoTermAdiPreconditioner(lap, lap, np.array([1.5, shift]), names=("A_1", "B_2"))
 
 
 def singular_coefficients():

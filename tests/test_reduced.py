@@ -306,6 +306,15 @@ def test_inner_config_validation():
             InnerSolveConfig(**{name: value})
 
 
+def test_inner_precond_terms_stored_as_a_pair():
+    listed = InnerSolveConfig(inner_precond_terms=[0, 1])
+    assert listed == InnerSolveConfig(inner_precond_terms=(0, 1))
+    assert hash(listed) == hash(InnerSolveConfig(inner_precond_terms=(0, 1)))
+    for terms in [(0,), (0, 1, 2)]:
+        with pytest.raises(ValueError, match="inner_precond_terms takes two term indices"):
+            InnerSolveConfig(inner_precond_terms=terms)
+
+
 def test_minimizer_property():
     rng = np.random.default_rng(16)
     eq = random_posdef_equation(rng, 10, 10, 2, 2)
