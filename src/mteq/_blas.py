@@ -2,7 +2,7 @@
 
 numpy and scipy wheels each bundle their own OpenBLAS: numpy's ``@`` runs
 on one runtime, scipy's LAPACK (QR with ``geqrt``/``gemqrt``, SVD, Cholesky,
-``eigh``, banded LU) on the other. Each starts a pool of threads, and the two pools' spinning
+``eigh``, LDL^T) on the other. Each starts a pool of threads, and the two pools' spinning
 workers contend for the same cores. :func:`single_pool` runs numpy's pool
 at one thread for the duration of a solve and leaves scipy's at its own
 count. It acts only when it observes two distinct runtimes; with a shared

@@ -3,8 +3,9 @@
 A matrix is kept as the triple product ``left @ core @ right.T`` and is
 never formed densely unless it is small enough. All operations return new
 objects; instances are treated as immutable and are safe to share.
-Every truncation runs one compression kernel, :func:`truncated_svd`; the
-tall orthonormal bases it works with are applied, never formed.
+Every truncation runs one compression kernel, :func:`truncated_svd`. Each
+exact side of it is one Householder QR, :func:`householder_qr`, whose tall
+orthonormal basis is applied, never formed.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class LowRankMatrix:
         Set when both ``left`` and ``right`` have orthonormal columns
         (e.g. after a truncation). Zero-width factors are vacuously
         orthonormal.
-    orthonormal_prefix : int
-        Leading columns of both factors known to be orthonormal; set by
-        :func:`factored_sum`, used by truncation.
 
     The zero matrix is represented with zero-width factors; see
     :meth:`zeros`.
@@ -70,7 +68,6 @@ class LowRankMatrix:
     core: np.ndarray
     right: np.ndarray
     orthonormal: bool = False
-    orthonormal_prefix: int = 0
 
     def __post_init__(self):
         left = np.atleast_2d(np.asarray(self.left, dtype=float))
@@ -185,37 +182,16 @@ def householder_qr(f: np.ndarray) -> tuple:
     return np.triu(a[:k]), to_basis
 
 
-def _exact_side(f: np.ndarray, prefix: int = 0) -> tuple:
-    """``(R, u -> Q @ u)`` of ``f = Q R``; ``Q`` is applied, never formed.
-
-    With an orthonormal prefix ``H = f[:, :prefix]`` only the complement
-    ``W`` of the trailing block ``T`` (Gram-Schmidt, twice) is factored:
-    ``[H, T] = [H, Q_W] @ [[I, H.T T], [0, R_W]]``. Otherwise this is
-    :func:`householder_qr` of ``f``.
-    """
-    if 0 < prefix < f.shape[1] <= f.shape[0]:
-        head, tail = f[:, :prefix], f[:, prefix:]
-        coeff = head.T @ tail
-        w = tail - head @ coeff
-        again = head.T @ w
-        w -= head @ again
-        r_w, to_w = _exact_side(w)
-        r = np.block([[np.eye(prefix), coeff + again],
-                      [np.zeros((r_w.shape[0], prefix)), r_w]])
-        return r, lambda u: head @ u[:prefix] + to_w(u[prefix:])
-    return householder_qr(f)
-
-
 def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
-                  cfg: TruncationConfig, prefix: int = 0, sides: tuple = (None, None),
+                  cfg: TruncationConfig, sides: tuple = (None, None),
                   ) -> tuple[LowRankMatrix, np.ndarray]:
     """The compression kernel: truncation of ``left @ core @ right.T``.
 
     Each factor ``F`` is reduced to a pair ``(R, u -> K @ u)`` with
-    ``F = K @ R``: by exact QR, whose first ``prefix`` columns are taken as
-    orthonormal, or by the caller's entry in ``sides`` (a sketched QR).
-    One SVD of ``R_l @ core @ R_r.T`` and the rule of ``cfg`` pick the kept
-    singular vectors, and only those are mapped through ``K``.
+    ``F = K @ R``: by :func:`householder_qr`, or by the caller's entry in
+    ``sides`` (a sketched QR). One SVD of ``R_l @ core @ R_r.T`` and the
+    rule of ``cfg`` pick the kept singular vectors, and only those are
+    mapped through ``K``.
 
     Returns the truncated matrix (diagonal core; orthonormal factors when
     both sides are exact) and the full singular-value vector of the
@@ -224,8 +200,8 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     n_rows, n_cols = left.shape[0], right.shape[0]
     if left.shape[1] == 0 or right.shape[1] == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), np.zeros(0)
-    r_l, to_left = sides[0] or _exact_side(left, prefix)
-    r_r, to_right = sides[1] or _exact_side(right, prefix)
+    r_l, to_left = sides[0] or householder_qr(left)
+    r_r, to_right = sides[1] or householder_qr(right)
     u, sigma, vt = sla.svd(r_l @ core @ r_r.T, full_matrices=False)
     rank = select_rank(sigma, cfg)
     if rank == 0:
@@ -245,7 +221,7 @@ def truncate(m: LowRankMatrix, cfg: TruncationConfig) -> LowRankMatrix:
     The Frobenius truncation error equals the norm of the discarded singular
     values. A numerically zero input yields the canonical zero matrix.
     """
-    return truncated_svd(m.left, m.core, m.right, cfg, m.orthonormal_prefix)[0]
+    return truncated_svd(m.left, m.core, m.right, cfg)[0]
 
 
 def factored_sum(
@@ -255,8 +231,7 @@ def factored_sum(
 
     Stacks the factors and block-diagonalizes the cores; no arithmetic on
     the large dimensions is performed. ``coeff_core`` must conform to the
-    inner dimensions of ``p``. An orthonormal ``x`` becomes the result's
-    orthonormal prefix.
+    inner dimensions of ``p``.
     """
     if x.shape != p.shape:
         raise ShapeError(f"outer dimensions differ: {x.shape} vs {p.shape}")
@@ -270,5 +245,4 @@ def factored_sum(
         np.hstack([x.left, p.left]),
         sla.block_diag(x.core, coeff_core),
         np.hstack([x.right, p.right]),
-        orthonormal_prefix=x.rank if x.orthonormal else 0,
     )

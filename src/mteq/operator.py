@@ -121,16 +121,6 @@ def right_stack(eq: MultitermEquation, v: np.ndarray, out: np.ndarray | None = N
     return _stack([b.T for _, b in eq.terms], v, eq.n_B, out)
 
 
-def left_stack_adj(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
-    """Stack of per-term products ``[A_1.T v, ..., A_p.T v]``."""
-    return _stack([a.T for a, _ in eq.terms], v, eq.n_A, None)
-
-
-def right_stack_adj(eq: MultitermEquation, v: np.ndarray) -> np.ndarray:
-    """Stack of per-term products ``[B_1 v, ..., B_p v]``."""
-    return _stack([b for _, b in eq.terms], v, eq.n_B, None)
-
-
 def _check_operand(eq: MultitermEquation, x: LowRankMatrix) -> None:
     if x.shape != (eq.n_A, eq.n_B):
         raise ShapeError(
@@ -156,9 +146,9 @@ def apply_Lstar(eq: MultitermEquation, x: LowRankMatrix) -> LowRankMatrix:
     """Apply the Frobenius adjoint ``X -> sum_i A_i.T X B_i.T`` in factored form."""
     _check_operand(eq, x)
     return LowRankMatrix(
-        left_stack_adj(eq, x.left),
+        _stack([a.T for a, _ in eq.terms], x.left, eq.n_A, None),
         np.kron(np.eye(eq.p), x.core),
-        right_stack_adj(eq, x.right),
+        _stack([b for _, b in eq.terms], x.right, eq.n_B, None),
     )
 
 

@@ -5,9 +5,8 @@ cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters derived
 from spectral intervals of the two coefficients. A symmetric positive
-definite tridiagonal coefficient is factored by LAPACK's LDL^T, one whose
-band is narrow next to its nonzeros by LAPACK's banded LU, any other by
-SuperLU.
+definite tridiagonal coefficient is factored by LAPACK's LDL^T, any other
+by SuperLU.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .lowrank import LowRankMatrix
 from .operator import MultitermEquation
@@ -154,39 +153,52 @@ def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
     return lo, hi
 
 
+def _power_iteration(matrix, v: np.ndarray, iters: int, tol: float) -> float:
+    """Rayleigh quotient of ``matrix`` after power iteration from the unit vector ``v``."""
+    lam_prev = 0.0
+    for _ in range(iters):
+        w = matrix @ v
+        lam = float(v @ w)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            break
+        v = w / nw
+        if lam_prev and abs(lam - lam_prev) <= tol * abs(lam):
+            lam_prev = lam
+            break
+        lam_prev = lam
+    return lam_prev
+
+
 def estimated_interval(
     matrix, iters: int = 20, tol: float = 1e-2, inflation: float = 1.05, seed: int = 0,
     name: str = "A",
 ) -> tuple[float, float]:
     """Spectral interval of the symmetric part by power/inverse-power iteration.
 
-    The endpoints are widened by ``inflation`` for safety; shift quality
-    degrades gracefully with loose intervals. A singular symmetric part
-    raises ``ValueError`` naming the coefficient as ``name``.
+    Power iteration finds the end ``hi`` of largest magnitude, inverse
+    iteration the eigenvalue nearest zero, and power iteration on the
+    symmetric part minus ``hi I`` the far end. The endpoints are widened by
+    ``inflation`` for safety; shift quality degrades gracefully with loose
+    intervals. A singular symmetric part, or one whose estimated ends
+    straddle zero, raises ``ValueError`` naming the coefficient as ``name``.
+    Each estimate is a Rayleigh quotient and lies inside the spectrum, so a
+    definite part never raises; an indefinite one whose far end ``iters``
+    steps do not reach past zero goes unnoticed.
     """
     n = matrix.shape[0]
     sym = 0.5 * (matrix + matrix.T)
     sym_csc = sp.csc_matrix(sym) if sp.issparse(sym) else sp.csc_matrix(np.asarray(sym))
     rng = np.random.default_rng(seed)
 
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_hi = 0.0
-    for _ in range(iters):
-        w = sym_csc @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        if lam_hi and abs(lam - lam_hi) <= tol * abs(lam):
-            lam_hi = lam
-            break
-        lam_hi = lam
+    def start() -> np.ndarray:
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    lam_hi = _power_iteration(sym_csc, start(), iters, tol)
 
     lu = _factor(sym_csc, f"the symmetric part of {name}")
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = start()
     lam_lo = 0.0
     for _ in range(iters):
         w = lu.solve(v)
@@ -201,29 +213,19 @@ def estimated_interval(
             break
         lam_lo = lam
 
-    if lam_lo == 0.0 or lam_hi == 0.0 or np.sign(lam_lo) != np.sign(lam_hi):
+    # All ``iters`` steps: the stopping test, relative to the shifted
+    # spectrum's width, would stop long before the far end's sign is known.
+    lam_far = lam_hi + _power_iteration(
+        sym_csc - lam_hi * sp.identity(n, format="csc"), start(), iters, 0.0)
+    signs = set(np.sign([lam_far, lam_lo, lam_hi]))
+    if len(signs) > 1 or 0.0 in signs:
         raise ValueError(
-            "estimated spectral interval of the symmetric part is indefinite"
-        )
+            f"the symmetric part of {name} is indefinite (estimated eigenvalues "
+            f"{lam_far:.4g}, {lam_lo:.4g} and {lam_hi:.4g}); ADI needs a definite "
+            "leading operator")
     lo, hi = sorted((lam_lo, lam_hi), key=abs)
     return lo / inflation if lo > 0 else lo * inflation, \
         hi * inflation if hi > 0 else hi / inflation
-
-
-class _BandedLU:
-    """LAPACK banded LU (``gbtrf``) of a matrix with ``kl`` sub- and ``ku``
-    super-diagonals, solved through ``gbtrs``."""
-
-    def __init__(self, coo: sp.coo_matrix, kl: int, ku: int):
-        band = np.zeros((2 * kl + ku + 1, coo.shape[1]), order="F")
-        band[kl + ku + coo.row - coo.col, coo.col] = coo.data
-        self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"gbtrf: U[{info - 1}, {info - 1}] is exactly zero")
-        self._kl, self._ku = kl, ku
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return dgbtrs(self._lu, self._kl, self._ku, b, self._piv)[0]
 
 
 class _TridiagonalLDLt:
@@ -240,29 +242,23 @@ class _TridiagonalLDLt:
 def _factor(matrix, label: str):
     """Factors of a square matrix, solved through ``.solve(b)``.
 
-    A symmetric tridiagonal matrix goes to LAPACK's LDL^T when it is
-    positive definite. Otherwise, a matrix whose band storage,
-    ``(2 kl + ku + 1) n`` entries, is at most twice its nonzeros (diagonal,
-    tri- and pentadiagonal ones) goes to LAPACK's banded LU; any other, such
-    as a 2D stencil, to SuperLU. A singular matrix raises ``ValueError``
-    naming it as ``label``.
+    A symmetric positive definite matrix with no entry off the three middle
+    diagonals goes to LAPACK's LDL^T, any other to SuperLU. A singular
+    matrix raises ``ValueError`` naming it as ``label``.
     """
     coo = sp.coo_matrix(matrix)
     coo.sum_duplicates()  # the band is filled by assignment
     offsets = coo.col - coo.row
-    kl, ku = max(-offsets.min(initial=0), 0), max(offsets.max(initial=0), 0)
-    if kl == ku == 1:
+    if np.abs(offsets).max(initial=0) <= 1:
         rows = np.zeros((3, coo.shape[1]))  # column i: A[i, i-1], A[i, i], A[i, i+1]
         rows[1 + offsets, coo.row] = coo.data
         if np.array_equal(rows[0, 1:], rows[2, :-1]):
             d, e, info = dpttrf(rows[1], rows[2, :-1], overwrite_d=1, overwrite_e=1)
-            if info == 0:  # else not positive definite: the banded LU takes it
+            if info == 0:  # else not positive definite: SuperLU takes it
                 return _TridiagonalLDLt(d, e)
     try:
-        if (2 * kl + ku + 1) * coo.shape[1] <= 2 * coo.nnz:
-            return _BandedLU(coo, kl, ku)
         return spla.splu(coo.tocsc())
-    except (np.linalg.LinAlgError, RuntimeError) as exc:  # SuperLU raises RuntimeError
+    except RuntimeError as exc:  # SuperLU's report of an exactly singular matrix
         raise ValueError(
             f"{label} is singular; the preconditioner cannot factor it") from exc
 

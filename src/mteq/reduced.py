@@ -74,7 +74,6 @@ class ReducedSystem:
     left_grams: np.ndarray
     right_grams: np.ndarray
     cfg: InnerSolveConfig = field(default_factory=InnerSolveConfig)
-    rank_deficient: bool = False
     path: str = field(init=False)
     #: Whether the direct factor needed the diagonal floor.
     regularized: bool = field(init=False)
@@ -168,28 +167,14 @@ def build_reduced(eq: MultitermEquation, p: LowRankMatrix,
 
     Only the factors ``P_l`` and ``P_r`` enter. Both Gram tables come from
     a single Gram product of the stacked per-term images, so the cost is
-    one tall skinny syrk per side. Severely rank-deficient factors are
-    flagged (the caller may re-orthonormalize) but not rejected; a
-    direction marked orthonormal (a truncation output) skips that check.
-    The system is prepared for its path under ``cfg``.
+    one tall skinny syrk per side. The system is prepared for its path
+    under ``cfg``.
     """
     eq_p, qk = eq.p, p.left.shape[1]
     stacks = [(g.T @ g).reshape(eq_p, qk, eq_p, qk).transpose(1, 0, 2, 3).copy()
               for g in (left_stack(eq, p.left), right_stack(eq, p.right))]
     left, right = (s.transpose(1, 2, 0, 3) for s in stacks)
-    deficient = False
-    if qk > 0 and not p.orthonormal:
-        for factor in (p.left, p.right):
-            svals = sla.svdvals(factor)
-            if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
-                deficient = True
-    if deficient:
-        warnings.warn(
-            "direction factors are numerically rank deficient; consider "
-            "re-orthonormalizing before the projected solve",
-            RuntimeWarning,
-        )
-    return ReducedSystem(left, right, cfg, rank_deficient=deficient)
+    return ReducedSystem(left, right, cfg)
 
 
 def alpha_rhs(eq: MultitermEquation, p: LowRankMatrix, r: LowRankMatrix) -> np.ndarray:

@@ -52,7 +52,7 @@ class SketchOperator:
     ``d`` is a Rademacher sign vector, ``F_N`` the orthonormal DCT-II of
     length ``N = n_fft >= n`` and ``rows`` ``s`` distinct indices below
     ``N``, so the subsample is an unbiased norm estimator (see the module
-    docstring). Construction is reproducible from ``seed``.
+    docstring). :func:`make_sketch` draws it reproducibly from a seed.
     """
 
     n: int
@@ -60,7 +60,6 @@ class SketchOperator:
     n_fft: int
     sign_flips: np.ndarray
     row_subset: np.ndarray
-    seed: int
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """Apply to a vector or to each column of a matrix."""
@@ -96,8 +95,7 @@ def make_sketch(n: int, s: int, seed: int) -> SketchOperator:
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
     rows = rng.choice(n_fft, size=s, replace=False)
-    return SketchOperator(n=n, s=s, n_fft=n_fft, sign_flips=signs, row_subset=rows,
-                          seed=seed)
+    return SketchOperator(n=n, s=s, n_fft=n_fft, sign_flips=signs, row_subset=rows)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,22 @@ def test_analytic_shifts_of_a_non_laplacian_coefficient_exit_2(tmp_path, capsys)
     assert not (tmp_path / "report.json").exists()
 
 
+def test_estimated_shifts_of_an_indefinite_coefficient_exit_2(tmp_path, capsys):
+    # A_1 has the spectrum [-290.6, 6090.6]; ADI on it ran to maxit in silence.
+    n = 40
+    lap = n**2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    eye = sp.identity(n, format="csr")
+    eq = MultitermEquation(terms=[(lap - 300.0 * eye, eye), (eye, lap)],
+                           C=np.ones((n, 1)), D=np.ones((n, 1)))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--precond", "two-term-adi", "--shift-source", "estimated",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "symmetric part of A_1 is indefinite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_manifest_source_requires_path(tmp_path, capsys):
     code = main(["solve", "--problem", "manifest", "--out-dir", str(tmp_path)])
     assert code == 2

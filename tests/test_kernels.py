@@ -20,7 +20,7 @@ from mteq import (
     solve_reduced,
     truncate,
 )
-from mteq.lowrank import _QR_BLOCK, _exact_side, householder_qr, select_rank, truncated_svd
+from mteq.lowrank import _QR_BLOCK, householder_qr, select_rank, truncated_svd
 
 from conftest import direction
 
@@ -69,9 +69,8 @@ def test_orthonormal_prefix_near_its_span(delta):
     outside -= x.left @ (x.left.T @ outside)
     p = LowRankMatrix(inside + delta * outside, np.eye(kp), orthonormal(rng, n, kp))
     m = factored_sum(x, p, rng.standard_normal((kp, kp)))
-    assert m.orthonormal_prefix == kx
     cfg = TruncationConfig(toltrank=1e-10, maxrank=kx + kp)
-    out, sigma = truncated_svd(m.left, m.core, m.right, cfg, m.orthonormal_prefix)
+    out, sigma = truncated_svd(m.left, m.core, m.right, cfg)
     assert_matches_dense_svd(out, sigma, m.densify(), cfg)
     assert np.array_equal(truncate(m, cfg).core, out.core)
 
@@ -94,14 +93,13 @@ def test_adi_like_rank_deficient_input():
     assert_matches_dense_svd(out, sigma, dense, cfg)
 
 
-@pytest.mark.parametrize("prefix", [0, 3])
-def test_short_wide_input(prefix):
+def test_short_wide_input():
     rng = np.random.default_rng(3)
     left = np.hstack([orthonormal(rng, 6, 3), rng.standard_normal((6, 7))])
     right = np.hstack([orthonormal(rng, 8, 3), rng.standard_normal((8, 7))])
     core = rng.standard_normal((10, 10))
     cfg = TruncationConfig(toltrank=1e-10, maxrank=10)
-    out, sigma = truncated_svd(left, core, right, cfg, prefix)
+    out, sigma = truncated_svd(left, core, right, cfg)
     assert_matches_dense_svd(out, sigma, left @ core @ right.T, cfg)
 
 
@@ -117,12 +115,12 @@ def test_rank_zero_inputs():
 
 
 def test_exact_side_map_does_not_keep_the_factor_alive():
-    # The prefix path passes its Gram-Schmidt complement, a temporary, as
-    # the factor; the map must let it go before the kept columns are mapped.
+    # The factor may be a temporary, such as a stacked sum; the map must let
+    # it go before the kept columns are mapped.
     rng = np.random.default_rng(6)
     f = rng.standard_normal((40, 6))
     head = f[:, :2].copy()
-    r, to_basis = _exact_side(f)
+    r, to_basis = householder_qr(f)
     ref = weakref.ref(f)
     del f
     assert ref() is None
@@ -251,23 +249,6 @@ def test_gemm_kernels_match_explicit_kron_sum(p, qk):
                                atol=TOL * np.abs(expected).max())
 
 
-def test_build_reduced_from_direction_skips_rank_check_only_when_orthonormal():
-    rng = np.random.default_rng(6)
-    eq = nonsymmetric_equation(rng, 10, 10, 2)
-    p_l = orthonormal(rng, 10, 3)
-    p_l[:, 2] = p_l[:, 1]
-    raw = LowRankMatrix(p_l, np.eye(3), orthonormal(rng, 10, 3))
-    with pytest.warns(RuntimeWarning):
-        assert build_reduced(eq, raw).rank_deficient
-    truncated = truncate(raw, TruncationConfig())
-    sys = build_reduced(eq, truncated)
-    assert not sys.rank_deficient
-    # The flag only skips the check: unflagged, the same factors pass it.
-    ref = build_reduced(eq, LowRankMatrix(truncated.left, truncated.core, truncated.right))
-    assert not ref.rank_deficient
-    assert np.array_equal(sys.assemble(), ref.assemble())
-
-
 def test_in_place_factorization_regularizes_a_singular_system(monkeypatch):
     # A zero direction column makes the assembled matrix singular, so the
     # in-place Cholesky fails and the floor-regularized path runs.
@@ -276,14 +257,12 @@ def test_in_place_factorization_regularizes_a_singular_system(monkeypatch):
     p_l = orthonormal(rng, 10, 3)
     p_l[:, 2] = 0.0
     p = direction(p_l, orthonormal(rng, 10, 3))
-    with pytest.warns(RuntimeWarning, match="rank deficient"):
-        with pytest.warns(RuntimeWarning, match="diagonal floor"):
-            sys = build_reduced(eq, p)
+    with pytest.warns(RuntimeWarning, match="diagonal floor"):
+        sys = build_reduced(eq, p)
     assert sys.regularized
     # The in-place factorization left the Gram blocks alone.
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
-    with pytest.warns(RuntimeWarning, match="rank deficient"):
-        unfactored = build_reduced(eq, p)
+    unfactored = build_reduced(eq, p)
     assert np.array_equal(sys.assemble(), unfactored.assemble())
     rhs = rng.standard_normal((3, 3))
     rhs[2] = 0.0

@@ -57,3 +57,34 @@ def test_tracer_finds_every_binding(harness):
     finally:
         restore()
     assert mteq.solver.solve is solve
+
+
+def test_traced_solve_runs_every_hook(harness, monkeypatch):
+    worker, tracing, workloads = harness
+    ran = set()
+
+    def recording(hook):
+        def record(*args):
+            ran.add(hook.__name__)
+            return hook(*args)
+        return record
+
+    hooks = {target[3].__name__ for target in tracing._TARGETS if target[3] is not None}
+    monkeypatch.setattr(tracing, "_TARGETS", tuple(
+        (*target[:3], target[3] and recording(target[3])) for target in tracing._TARGETS))
+    # s = 2 (p maxrank + q) = 28 rows fit in n_A = 32: both sides are sketched.
+    case = workloads.Case(n=34, eps=0.1, method="ss_gcr1", tol=1e-6, maxit=3, maxrank=3,
+                          residual_bound=1.0)
+    eq = mteq.build_convdiff(mteq.ConvDiffSpec(n=case.n, eps=case.eps))
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, mteq)
+    try:
+        report = mteq.solve(eq, worker._config(mteq, case, 7))[1]
+    finally:
+        restore()
+    assert tracer.missing == []
+    assert report.sketch_mode == "two_sided"
+    assert ran == hooks
+    metrics = tracing.span_metrics(tracer.spans)
+    assert metrics["lowrank.truncate.in_cols"] > 0
+    assert metrics["operator.stack.cols"] > 0

@@ -267,20 +267,20 @@ def band_cases():
     rng = np.random.default_rng(11)
     n = 60
     a3 = build_convdiff(ConvDiffSpec(n=n + 2, eps=0.1)).terms[2][0]
-    yield pytest.param(sp.diags(rng.uniform(1.0, 3.0, n)).tocsr(), precond._BandedLU,
+    yield pytest.param(sp.diags(rng.uniform(1.0, 3.0, n)).tocsr(), precond._TridiagonalLDLt,
                        id="diagonal")
     yield pytest.param(dirichlet_laplacian(n) + 5.0 * sp.identity(n),
                        precond._TridiagonalLDLt, id="symmetric-tridiagonal")
-    # The smallest eigenvalue is about 2.47: LDL^T stops, the banded LU takes it.
-    yield pytest.param(dirichlet_laplacian(n) - 3.0 * sp.identity(n), precond._BandedLU,
+    # The smallest eigenvalue is about 2.47: LDL^T stops, SuperLU takes it.
+    yield pytest.param(dirichlet_laplacian(n) - 3.0 * sp.identity(n), spla.SuperLU,
                        id="indefinite-symmetric-tridiagonal")
-    # Zero diagonal plus a small shift: partial pivoting swaps rows.
-    yield pytest.param((a3 + 0.3 * sp.identity(n)).tocsr(), precond._BandedLU,
+    # Zero diagonal plus a small shift: pivoting swaps rows.
+    yield pytest.param((a3 + 0.3 * sp.identity(n)).tocsr(), spla.SuperLU,
                        id="nonsymmetric-tridiagonal")
     offsets = [-2, -1, 0, 1, 2]
     yield pytest.param(sp.diags(
         [rng.standard_normal(n - abs(k)) + 6.0 * (k == 0) for k in offsets], offsets).tocsr(),
-        precond._BandedLU, id="pentadiagonal")
+        spla.SuperLU, id="pentadiagonal")
 
 
 @pytest.mark.parametrize(("matrix", "kind"), band_cases())
@@ -320,11 +320,11 @@ def test_banded_adi_matches_superlu_reference(monkeypatch):
 
 def test_adi_apply_matches_reference_sweep():
     eq = build_convdiff(ConvDiffSpec(n=130, eps=0.1))
-    # A_3 (convection) is nonsymmetric: its side runs on the banded LU.
+    # A_3 (convection) is nonsymmetric: its side runs on SuperLU.
     a3, b2 = eq.terms[2][0] + 5.0 * sp.identity(128), eq.terms[1][1]
     shifts = wachspress_shifts(estimated_interval(a3), analytic_laplacian_interval(b2), 6)
     adi = TwoTermAdiPreconditioner(a3, b2, shifts)
-    assert all(isinstance(lu, precond._BandedLU) for lu in adi._a_lus)
+    assert all(isinstance(lu, spla.SuperLU) for lu in adi._a_lus)
     assert all(isinstance(lu, precond._TridiagonalLDLt) for lu in adi._bt_lus)
     r = random_lowrank(np.random.default_rng(15), 128, 128, 5)
     z = adi.apply(r)
@@ -357,7 +357,7 @@ def test_symmetric_tridiagonal_at_minus_an_eigenvalue_raises_value_error(shift):
 
 
 def singular_coefficients():
-    """A diagonal matrix (banded LU) and a 2D stencil (SuperLU), each with a zero row."""
+    """A diagonal matrix and a 2D stencil, each with a zero row."""
     diagonal = sp.diags(np.r_[1.0, 0.0, np.arange(2.0, 16.0)]).tolil()
     t, eye = dirichlet_laplacian(4), sp.identity(4)
     stencil = (sp.kron(t, eye) + sp.kron(eye, t)).tolil()
@@ -397,3 +397,15 @@ def test_estimated_interval_of_singular_coefficient_raises_value_error():
                            C=rng.standard_normal((3, 1)), D=rng.standard_normal((3, 1)))
     with pytest.raises(ValueError, match="A_1 is singular"):
         build_preconditioner(eq, PreconditionerSpec.two_term_adi(t_adi=2))
+
+
+def test_estimated_interval_of_indefinite_coefficient_raises_value_error():
+    # Spectrum [-290.6, 6090.6]: the eigenvalue nearest zero is positive, so
+    # only the far end shows that the interval straddles zero.
+    n = 40
+    a = n**2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) - 300.0 * sp.identity(n)
+    eye = sp.identity(n, format="csr")
+    eq = MultitermEquation(terms=[(a.tocsr(), eye), (eye, dirichlet_laplacian(n))],
+                           C=np.ones((n, 1)), D=np.ones((n, 1)))
+    with pytest.raises(ValueError, match="symmetric part of A_1 is indefinite"):
+        build_preconditioner(eq, PreconditionerSpec.two_term_adi())

@@ -78,16 +78,6 @@ def test_apply_matches_assembled_action():
     )
 
 
-def test_rank_deficient_factors_flagged():
-    rng = np.random.default_rng(4)
-    eq = random_posdef_equation(rng, 10, 10, 2, 1)
-    p_l = orthonormal(rng, 10, 3)
-    p_l[:, 2] = p_l[:, 1]
-    with pytest.warns(RuntimeWarning):
-        sys = build_reduced(eq, direction(p_l, orthonormal(rng, 10, 3)))
-    assert sys.rank_deficient
-
-
 def test_alpha_rhs_zero_residual():
     rng = np.random.default_rng(5)
     eq = random_posdef_equation(rng, 9, 9, 2, 1)
@@ -221,7 +211,7 @@ def test_system_is_frozen_and_factored_once(monkeypatch):
     sys = build_reduced(eq, direction(orthonormal(rng, 8, 2), orthonormal(rng, 8, 2)))
     assert sys.path == "direct" and calls == ["assemble", "cho_factor"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sys.rank_deficient = True
+        sys.path = "pcg"
     t = assemble(sys)
     for rhs in rng.standard_normal((2, 2, 2)):
         coeff, info = solve_reduced(sys, rhs)
