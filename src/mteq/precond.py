@@ -36,8 +36,7 @@ class PreconditionerSpec:
     ADI sweeps) and ``shift_source`` are set for ``two_term_adi`` and only
     for it; :meth:`two_term_adi` gives their defaults. ``shift_source`` is
     ``"analytic_laplacian"`` (closed-form interval of a positive multiple
-    of ``tridiag(-1, 2, -1)``) or ``"estimated"`` (power iterations on the
-    symmetric part).
+    of ``tridiag(-1, 2, -1)``) or ``"estimated"`` (:func:`estimated_interval`).
     """
 
     kind: str = "none"
@@ -153,79 +152,59 @@ def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
     return lo, hi
 
 
-def _power_iteration(matrix, v: np.ndarray, iters: int, tol: float) -> float:
-    """Rayleigh quotient of ``matrix`` after power iteration from the unit vector ``v``."""
-    lam_prev = 0.0
+#: Factor by which :func:`estimated_interval` widens each end of its interval.
+INFLATION = 1.05
+#: Seed of :func:`estimated_interval`'s start vectors.
+START_SEED = 0
+
+
+def _power_iteration(apply, v: np.ndarray, iters: int, tol: float) -> float:
+    """Rayleigh quotient of a nonsingular map after power iteration from the unit vector ``v``."""
+    lam = 0.0
     for _ in range(iters):
-        w = matrix @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
+        w = apply(v)
+        lam, lam_prev = float(v @ w), lam
         if lam_prev and abs(lam - lam_prev) <= tol * abs(lam):
-            lam_prev = lam
             break
-        lam_prev = lam
-    return lam_prev
+        v = w / np.linalg.norm(w)
+    return lam
 
 
-def estimated_interval(
-    matrix, iters: int = 20, tol: float = 1e-2, inflation: float = 1.05, seed: int = 0,
-    name: str = "A",
-) -> tuple[float, float]:
-    """Spectral interval of the symmetric part by power/inverse-power iteration.
+def estimated_interval(matrix, iters: int = 20, tol: float = 1e-2,
+                       name: str = "A") -> tuple[float, float]:
+    """Spectral interval ``(low, high)`` of the symmetric part of a definite matrix.
 
-    Power iteration finds the end ``hi`` of largest magnitude, inverse
-    iteration the eigenvalue nearest zero, and power iteration on the
-    symmetric part minus ``hi I`` the far end. The endpoints are widened by
-    ``inflation`` for safety; shift quality degrades gracefully with loose
-    intervals. A singular symmetric part, or one whose estimated ends
-    straddle zero, raises ``ValueError`` naming the coefficient as ``name``.
-    Each estimate is a Rayleigh quotient and lies inside the spectrum, so a
-    definite part never raises; an indefinite one whose far end ``iters``
-    steps do not reach past zero goes unnoticed.
+    The symmetric part is factored once, by SuperLU in symmetric mode with
+    diagonal pivots only (an LDL^T). By Sylvester's law of inertia the
+    pivot signs are the eigenvalue signs, so a singular part, an
+    off-diagonal pivot (which no definite matrix needs) or pivots of both
+    signs raise ``ValueError`` naming the coefficient as ``name``. Power
+    iteration estimates the end of largest magnitude and, on the inverse
+    through the same factor, the end nearest zero. Both estimates lie in
+    the spectrum and are widened by :data:`INFLATION`, away from the
+    interior, which is not a guaranteed bracket. A negative definite part
+    gets the mirror image of its negation's interval.
     """
     n = matrix.shape[0]
-    sym = 0.5 * (matrix + matrix.T)
-    sym_csc = sp.csc_matrix(sym) if sp.issparse(sym) else sp.csc_matrix(np.asarray(sym))
-    rng = np.random.default_rng(seed)
-
-    def start() -> np.ndarray:
-        v = rng.standard_normal(n)
-        return v / np.linalg.norm(v)
-
-    lam_hi = _power_iteration(sym_csc, start(), iters, tol)
-
-    lu = _factor(sym_csc, f"the symmetric part of {name}")
-    v = start()
-    lam_lo = 0.0
-    for _ in range(iters):
-        w = lu.solve(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        w /= nw
-        lam = float(w @ (sym_csc @ w))
-        v = w
-        if lam_lo and abs(lam - lam_lo) <= tol * abs(lam):
-            lam_lo = lam
-            break
-        lam_lo = lam
-
-    # All ``iters`` steps: the stopping test, relative to the shifted
-    # spectrum's width, would stop long before the far end's sign is known.
-    lam_far = lam_hi + _power_iteration(
-        sym_csc - lam_hi * sp.identity(n, format="csc"), start(), iters, 0.0)
-    signs = set(np.sign([lam_far, lam_lo, lam_hi]))
-    if len(signs) > 1 or 0.0 in signs:
+    sym = sp.csc_matrix(0.5 * (matrix + matrix.T))
+    label = f"the symmetric part of {name}"
+    try:
+        lu = spla.splu(sym, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's report of an exactly singular matrix
+        raise ValueError(f"{label} is singular; the preconditioner cannot factor it") from exc
+    negative = int((lu.U.diagonal() < 0).sum())
+    off_diagonal = not np.array_equal(lu.perm_r, lu.perm_c)
+    if off_diagonal or 0 < negative < n:
         raise ValueError(
-            f"the symmetric part of {name} is indefinite (estimated eigenvalues "
-            f"{lam_far:.4g}, {lam_lo:.4g} and {lam_hi:.4g}); ADI needs a definite "
-            "leading operator")
-    lo, hi = sorted((lam_lo, lam_hi), key=abs)
-    return lo / inflation if lo > 0 else lo * inflation, \
-        hi * inflation if hi > 0 else hi / inflation
+            f"{label} is indefinite ({negative} negative and {n - negative} positive "
+            f"pivots{', one off the diagonal' if off_diagonal else ''}); ADI needs a "
+            "definite leading operator")
+    rng = np.random.default_rng(START_SEED)
+    v_far, v_near = (v / np.linalg.norm(v) for v in rng.standard_normal((2, n)))
+    far = _power_iteration(lambda v: sym @ v, v_far, iters, tol)
+    near = 1.0 / _power_iteration(lu.solve, v_near, iters, tol)
+    return tuple(sorted((near / INFLATION, far * INFLATION)))
 
 
 class _TridiagonalLDLt:

@@ -50,8 +50,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("ss_mr", "ss_gcr1"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
 
@@ -291,9 +291,10 @@ def solve(
             with _timer(times, "precondition"):
                 z = precond.apply(r)
             # ss_gcr1 recombines z with the direction just used; otherwise z
-            # is the next direction. Wide ADI output is truncated either way.
+            # is the next direction. Output wider than r (ADI's is t_adi
+            # times as wide) is truncated either way.
             recombine = cfg.method == "ss_gcr1" and k > 0
-            if cfg.preconditioner.kind == "two_term_adi" or not recombine:
+            if z.rank > r.rank or not recombine:
                 with _timer(times, "truncation"):
                     z = truncate(z, cfg.truncation)
             p_next = z

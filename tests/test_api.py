@@ -1,9 +1,42 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and the README names only what exists."""
+
+import argparse
+import re
+from pathlib import Path
 
 import mteq
+from mteq.cli import build_parser
 
 
 def test_all_names_resolve():
     missing = [name for name in mteq.__all__ if not hasattr(mteq, name)]
     assert not missing
     assert len(set(mteq.__all__)) == len(mteq.__all__)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_imports_resolve():
+    text = README.read_text()
+    imported = re.findall(r"from mteq import \(([^)]*)\)|from mteq import ([^\n(]+)", text)
+    names = {name for group in imported for name in re.split(r"[\s,]+", "".join(group))
+             if name}
+    assert names
+    assert sorted(name for name in names if not hasattr(mteq, name)) == []
+
+
+def _cli_options() -> set[str]:
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {flag for parser in sub.choices.values()
+            for flag in parser._option_string_actions}
+
+
+def test_readme_flags_are_cli_options():
+    # Lines that run another program (pip, pytest) carry its own flags.
+    lines = [line for line in README.read_text().splitlines()
+             if not line.lstrip().startswith(("pip ", "pytest"))]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+    assert flags
+    assert sorted(flags - _cli_options()) == []

@@ -134,6 +134,15 @@ def test_pcg_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1"])
+def test_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, value):
+    # nan ran to maxit in silence; inf reported convergence after 0 iterations.
+    code = run_solve(tmp_path, extra=["--tol", value])
+    assert code == 2
+    assert "tol must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--precond-terms", "0,1"],
     ["--precond-terms", "2,5"],
@@ -249,19 +258,24 @@ def test_analytic_shifts_of_a_non_laplacian_coefficient_exit_2(tmp_path, capsys)
     assert not (tmp_path / "report.json").exists()
 
 
-def test_estimated_shifts_of_an_indefinite_coefficient_exit_2(tmp_path, capsys):
-    # A_1 has the spectrum [-290.6, 6090.6]; ADI on it ran to maxit in silence.
-    n = 40
+@pytest.mark.parametrize("n, shift, negative", [(40, 300.0, 5), (200, 125.0, 3)],
+                         ids=["n40", "n200"])
+def test_estimated_shifts_of_an_indefinite_coefficient_exit_2(tmp_path, capsys, n, shift,
+                                                              negative):
+    # A_1 has the spectrum [-290.6, 6090.6] at n = 40 and [-115, 1.6e5] at
+    # n = 200; ADI ran to maxit in silence on the first, power iterations
+    # accepted the second as (29.1, 1.61e5).
     lap = n**2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     eye = sp.identity(n, format="csr")
-    eq = MultitermEquation(terms=[(lap - 300.0 * eye, eye), (eye, lap)],
+    eq = MultitermEquation(terms=[(lap - shift * eye, eye), (eye, lap)],
                            C=np.ones((n, 1)), D=np.ones((n, 1)))
     manifest = save_manifest(eq, tmp_path / "eq")
     code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
                  "--precond", "two-term-adi", "--shift-source", "estimated",
                  "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "symmetric part of A_1 is indefinite" in capsys.readouterr().err
+    assert (f"symmetric part of A_1 is indefinite ({negative} negative and "
+            f"{n - negative} positive pivots)") in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

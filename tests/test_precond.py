@@ -11,8 +11,12 @@ from mteq import (
     MultitermEquation,
     OneTermPreconditioner,
     PreconditionerSpec,
+    SolverConfig,
+    TruncationConfig,
     TwoTermAdiPreconditioner,
     build_preconditioner,
+    solve,
+    true_residual,
     wachspress_shifts,
 )
 from mteq import precond
@@ -399,13 +403,72 @@ def test_estimated_interval_of_singular_coefficient_raises_value_error():
         build_preconditioner(eq, PreconditionerSpec.two_term_adi(t_adi=2))
 
 
-def test_estimated_interval_of_indefinite_coefficient_raises_value_error():
-    # Spectrum [-290.6, 6090.6]: the eigenvalue nearest zero is positive, so
-    # only the far end shows that the interval straddles zero.
-    n = 40
-    a = n**2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) - 300.0 * sp.identity(n)
+@pytest.mark.parametrize("n, shift", [(40, 300.0), (200, 125.0), (1024, 13107.2)],
+                         ids=["n40", "n200", "n1024"])
+def test_estimated_interval_of_indefinite_coefficient_raises_value_error(n, shift):
+    # Spectra [-290.6, 6090.6], from -115 and from -13097. Power iterations
+    # on the part accepted the last two as (29.1, 1.61e5) and (8.31, 4.22e6).
+    a = n**2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) - shift * sp.identity(n)
     eye = sp.identity(n, format="csr")
     eq = MultitermEquation(terms=[(a.tocsr(), eye), (eye, dirichlet_laplacian(n))],
                            C=np.ones((n, 1)), D=np.ones((n, 1)))
     with pytest.raises(ValueError, match="symmetric part of A_1 is indefinite"):
         build_preconditioner(eq, PreconditionerSpec.two_term_adi())
+
+
+def test_estimated_interval_of_a_negated_matrix_is_its_mirror_image():
+    rng = np.random.default_rng(16)
+    n = 30
+    stencil = sp.kron(dirichlet_laplacian(n), sp.identity(n)) \
+        + sp.kron(sp.identity(n), dirichlet_laplacian(n))
+    convected = stencil + sp.diags(rng.uniform(-5.0, 5.0, n * n - 1), 1)
+    for matrix in ((n + 1) ** 2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)),
+                   convected):
+        lo, hi = estimated_interval(matrix.tocsr())
+        assert 0 < lo < hi
+        assert estimated_interval(-matrix.tocsr()) == (-hi, -lo)
+
+
+def test_negative_definite_adi_pair_builds_and_converges():
+    # -(n+1)^2 tridiag(-1, 2, -1): the pair came back reversed and narrowed,
+    # (-10.35, -3537), and wachspress_shifts refused it.
+    n = 30
+    neg = -(n + 1) ** 2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    eye = sp.identity(n, format="csr")
+    rng = np.random.default_rng(17)
+    eq = MultitermEquation(terms=[(neg, eye), (eye, neg)],
+                           C=rng.standard_normal((n, 1)), D=rng.standard_normal((n, 1)))
+    lam = np.linalg.eigvalsh(neg.toarray())
+    lo, hi = estimated_interval(neg)
+    assert lo <= lam[0] and lam[-1] <= hi < 0
+    adi = build_preconditioner(eq, PreconditionerSpec.two_term_adi(t_adi=8))
+    assert np.all(adi.shifts < 0)
+    cfg = SolverConfig(method="ss_gcr1", tol=1e-10, maxit=20,
+                       truncation=TruncationConfig(toltrank=1e-14, maxrank=n),
+                       preconditioner=PreconditionerSpec.two_term_adi(t_adi=8))
+    x, rep = solve(eq, cfg)
+    assert rep.converged
+    assert true_residual(eq, x) <= 1e-9
+
+
+def test_estimated_interval_rejects_a_saddle_point_coefficient():
+    # [[M, B^T], [B, 0]], the shape of a mixed formulation's K_0: M has
+    # positive and the Schur complement -B M^{-1} B^T negative eigenvalues.
+    rng = np.random.default_rng(18)
+    m = sp.diags(rng.uniform(1.0, 2.0, 20))
+    b = sp.eye(8, 20) + sp.random(8, 20, density=0.3, random_state=np.random.RandomState(1))
+    saddle = sp.bmat([[m, b.T], [b, None]]).tocsr()
+    with pytest.raises(ValueError,
+                       match=r"A_1 is indefinite \(8 negative and 20 positive pivots"):
+        estimated_interval(saddle, name="A_1")
+
+
+def test_estimated_interval_accepts_a_2d_stencil():
+    n = 30
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    stencil = (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)).tocsr()
+    lam = np.linalg.eigvalsh(stencil.toarray())
+    lo, hi = estimated_interval(stencil)
+    assert 0 < lo <= lam[0]
+    # Power iteration stops short of the top end: no guaranteed bracket.
+    assert 0.95 * lam[-1] <= hi

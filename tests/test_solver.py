@@ -250,8 +250,9 @@ def test_one_term_preconditioned_solve():
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         SolverConfig(method="bogus")
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, 1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(maxit=0)
 
@@ -390,3 +391,43 @@ def test_inner_precond_terms_checked_at_solve_start(terms):
     cfg = SolverConfig(inner=InnerSolveConfig(inner_precond_terms=terms))
     with pytest.raises(ValueError, match="inner_precond_terms"):
         solve(eq, cfg)
+
+
+@pytest.mark.parametrize("method", ["ss_gcr1", "ss_mr"])
+def test_estimated_shifts_match_analytic_ones_on_convdiff(method):
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    reports = []
+    for source in ("analytic_laplacian", "estimated"):
+        cfg = dataclasses.replace(
+            convdiff_config(method, maxit=20),
+            preconditioner=PreconditionerSpec.two_term_adi(t_adi=8, shift_source=source))
+        reports.append(solve(eq, cfg)[1])
+    analytic, estimated = reports
+    assert analytic.converged and estimated.converged
+    assert estimated.iterations == analytic.iterations
+    assert estimated.final_rank == analytic.final_rank
+
+
+@pytest.mark.parametrize("method", ["ss_gcr1", "ss_mr"])
+def test_single_term_rank_one_solve_at_maxrank_one(method):
+    # A X B = c d^T: the one-term preconditioner is its exact inverse.
+    rng = np.random.default_rng(19)
+    eq = random_posdef_equation(rng, 30, 20, 1, 1)
+    cfg = SolverConfig(method=method, tol=1e-10, maxit=5,
+                       truncation=TruncationConfig(toltrank=1e-14, maxrank=1),
+                       preconditioner=PreconditionerSpec.one_term(0))
+    x, rep = solve(eq, cfg, compute_true_residual=True)
+    assert rep.converged
+    assert rep.iterations == 1
+    assert all(max(ranks) <= 1 for ranks in rep.ranks)
+    assert rep.true_final_residual <= 1e-13
+
+
+def test_single_term_solve_matches_direct_solve():
+    rng = np.random.default_rng(20)
+    eq = random_posdef_equation(rng, 14, 11, 1, 2)
+    x_ref = direct_solve(assemble_kron(eq))
+    x, rep = solve(eq, untruncated_config(14, tol=1e-12, maxit=100))
+    assert rep.converged
+    err = np.linalg.norm(x.densify() - x_ref) / np.linalg.norm(x_ref)
+    assert err <= 1e-10
