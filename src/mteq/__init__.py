@@ -29,7 +29,6 @@ from .precond import (
 )
 from .problems import (
     ConvDiffSpec,
-    EquationManifest,
     build_convdiff,
     load_manifest,
     save_manifest,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DENSIFY_CAP",
     "ConvDiffSpec",
-    "EquationManifest",
     "InnerSolveConfig",
     "IterationInfo",
     "LowRankMatrix",

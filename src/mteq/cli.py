@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -31,7 +30,6 @@ from .reduced import InnerSolveConfig
 from .solver import SolverConfig, solve, true_residual
 
 _BENCH_SIZES = (1024, 2048, 4096, 8192, 16384)
-_QUICK_LIMIT = 2048
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,11 +58,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--maxrank", type=int, default=default.truncation.maxrank)
     group.add_argument("--toltrank", type=float, default=default.truncation.toltrank,
                        help="relative singular-value truncation cutoff")
-    group.add_argument("--seed", type=int, default=None,
-                       help="sketch seed (default: MTEQ_SEED env var, "
-                            f"else {default.sketch_seed})")
-    group.add_argument("--pcg-tol", type=float, default=default.inner.pcg_tol)
-    group.add_argument("--pcg-maxit", type=int, default=default.inner.pcg_maxit)
+    group.add_argument("--seed", type=int, default=default.sketch_seed,
+                       help="sketch seed")
     group.add_argument(
         "--inner-precond-terms", type=str, default=None, metavar="I,J",
         help="1-based term pair preconditioning the inner PCG "
@@ -113,12 +108,6 @@ def _build_problem(args) -> tuple:
     return eq, descriptor
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("MTEQ_SEED", SolverConfig.sketch_seed))
-
-
 def _build_config(args, p: int) -> SolverConfig:
     """Solver configuration from the parsed flags, for an equation with ``p`` terms."""
     inner_terms = args.inner_precond_terms
@@ -150,12 +139,8 @@ def _build_config(args, p: int) -> SolverConfig:
         tol=args.tol,
         maxit=args.maxit,
         truncation=TruncationConfig(toltrank=args.toltrank, maxrank=args.maxrank),
-        inner=InnerSolveConfig(
-            pcg_tol=args.pcg_tol,
-            pcg_maxit=args.pcg_maxit,
-            inner_precond_terms=inner_pair,
-        ),
-        sketch_seed=_seed(args),
+        inner=InnerSolveConfig(inner_precond_terms=inner_pair),
+        sketch_seed=args.seed,
         preconditioner=precond,
     )
 
@@ -232,17 +217,12 @@ def _bench_case(case) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    sizes = args.sizes or list(_BENCH_SIZES)
-    if args.quick:
-        sizes = [n for n in sizes if n <= _QUICK_LIMIT]
     cases = [
-        (n, eps, method, _seed(args))
+        (n, eps, method, args.seed)
         for eps in (0.1, 0.01)
-        for n in sizes
+        for n in args.sizes or _BENCH_SIZES
         for method in ("ss-gcr1", "ss-mr")
     ]
-    if not cases:
-        raise ValueError(f"no grid size left to run: --quick keeps only n <= {_QUICK_LIMIT}")
     rows = [_bench_case(case) for case in cases]
 
     header = f"{'n':>6} {'eps':>6} {'method':>8} {'k':>4} {'rank':>5} " \
@@ -298,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="sweep the convection-diffusion grid")
-    p_bench.add_argument("--quick", action="store_true",
-                         help=f"restrict to n <= {_QUICK_LIMIT}")
     p_bench.add_argument("--sizes", type=int, nargs="*", default=None,
                          help="override the swept grid sizes")
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--seed", type=int, default=SolverConfig.sketch_seed,
+                         help="sketch seed")
     p_bench.add_argument("--out-dir", type=Path, default=Path("."))
     p_bench.set_defaults(func=_cmd_bench)
 

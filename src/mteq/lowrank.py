@@ -93,13 +93,13 @@ class LowRankMatrix:
         )
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "LowRankMatrix":
-        """Factor a dense matrix through its SVD, dropping sigma <= tol * sigma_1."""
+    def from_dense(cls, dense: np.ndarray) -> "LowRankMatrix":
+        """Factor a dense matrix through its SVD, dropping zero singular values."""
         dense = np.atleast_2d(np.asarray(dense, dtype=float))
         u, s, vt = sla.svd(dense, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return cls.zeros(*dense.shape)
-        keep = int(np.count_nonzero(s > tol * s[0]))
+        keep = int(np.count_nonzero(s))
         return cls(u[:, :keep], np.diag(s[:keep]), vt[:keep].T, orthonormal=True)
 
     @property

@@ -4,9 +4,10 @@ A one-term preconditioner inverts a single coefficient pair exactly through
 cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters derived
-from spectral intervals of the two coefficients. A symmetric positive
-definite tridiagonal coefficient is factored by LAPACK's LDL^T, any other
-by SuperLU.
+from spectral intervals of the two coefficients, closed-form or estimated
+by power iteration within a fixed budget (module constants, like the
+estimate's widening and seed). A symmetric positive definite tridiagonal
+coefficient is factored by LAPACK's LDL^T, any other by SuperLU.
 """
 
 from __future__ import annotations
@@ -156,22 +157,25 @@ def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
 INFLATION = 1.05
 #: Seed of :func:`estimated_interval`'s start vectors.
 START_SEED = 0
+#: Each power iteration stops once its Rayleigh quotient moves by at most
+#: ``POWER_TOL`` relative to itself, or after ``POWER_ITERS`` steps.
+POWER_ITERS = 20
+POWER_TOL = 1e-2
 
 
-def _power_iteration(apply, v: np.ndarray, iters: int, tol: float) -> float:
+def _power_iteration(apply, v: np.ndarray) -> float:
     """Rayleigh quotient of a nonsingular map after power iteration from the unit vector ``v``."""
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = apply(v)
         lam, lam_prev = float(v @ w), lam
-        if lam_prev and abs(lam - lam_prev) <= tol * abs(lam):
+        if lam_prev and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
             break
         v = w / np.linalg.norm(w)
     return lam
 
 
-def estimated_interval(matrix, iters: int = 20, tol: float = 1e-2,
-                       name: str = "A") -> tuple[float, float]:
+def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
     """Spectral interval ``(low, high)`` of the symmetric part of a definite matrix.
 
     The symmetric part is factored once, by SuperLU in symmetric mode with
@@ -179,7 +183,8 @@ def estimated_interval(matrix, iters: int = 20, tol: float = 1e-2,
     pivot signs are the eigenvalue signs, so a singular part, an
     off-diagonal pivot (which no definite matrix needs) or pivots of both
     signs raise ``ValueError`` naming the coefficient as ``name``. Power
-    iteration estimates the end of largest magnitude and, on the inverse
+    iteration, within the :data:`POWER_ITERS` and :data:`POWER_TOL`
+    budget, estimates the end of largest magnitude and, on the inverse
     through the same factor, the end nearest zero. Both estimates lie in
     the spectrum and are widened by :data:`INFLATION`, away from the
     interior, which is not a guaranteed bracket. A negative definite part
@@ -202,8 +207,8 @@ def estimated_interval(matrix, iters: int = 20, tol: float = 1e-2,
             "definite leading operator")
     rng = np.random.default_rng(START_SEED)
     v_far, v_near = (v / np.linalg.norm(v) for v in rng.standard_normal((2, n)))
-    far = _power_iteration(lambda v: sym @ v, v_far, iters, tol)
-    near = 1.0 / _power_iteration(lu.solve, v_near, iters, tol)
+    far = _power_iteration(lambda v: sym @ v, v_far)
+    near = 1.0 / _power_iteration(lu.solve, v_near)
     return tuple(sorted((near / INFLATION, far * INFLATION)))
 
 

@@ -101,53 +101,6 @@ def build_convdiff(spec: ConvDiffSpec) -> MultitermEquation:
     )
 
 
-@dataclass(frozen=True)
-class EquationManifest:
-    """File layout and metadata of an equation stored on disk.
-
-    Keys of ``manifest.json`` beyond these are ignored on load.
-    """
-
-    a_paths: tuple[str, ...]
-    b_paths: tuple[str, ...]
-    c_path: str
-    d_path: str
-    p: int
-    q: int
-    n_A: int
-    n_B: int
-
-    def to_json(self) -> dict:
-        return {
-            "format": "mteq-manifest",
-            "version": 1,
-            "p": self.p,
-            "q": self.q,
-            "n_A": self.n_A,
-            "n_B": self.n_B,
-            "A": list(self.a_paths),
-            "B": list(self.b_paths),
-            "C": self.c_path,
-            "D": self.d_path,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EquationManifest":
-        try:
-            return cls(
-                a_paths=tuple(data["A"]),
-                b_paths=tuple(data["B"]),
-                c_path=data["C"],
-                d_path=data["D"],
-                p=int(data["p"]),
-                q=int(data["q"]),
-                n_A=int(data["n_A"]),
-                n_B=int(data["n_B"]),
-            )
-        except KeyError as exc:
-            raise ManifestError(f"manifest is missing the {exc} entry") from exc
-
-
 def _read_matrix(path: Path):
     with open(path) as handle:
         banner = handle.readline()
@@ -171,27 +124,17 @@ def save_manifest(eq: MultitermEquation, directory) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    a_paths, b_paths = [], []
-    for i, (a, b) in enumerate(eq.terms, start=1):
-        a_name, b_name = f"A_{i}.mtx", f"B_{i}.mtx"
-        mmwrite(directory / a_name, sp.coo_matrix(a), precision=17)
-        mmwrite(directory / b_name, sp.coo_matrix(b), precision=17)
-        a_paths.append(a_name)
-        b_paths.append(b_name)
+    manifest = {"format": "mteq-manifest", "version": 1, "p": eq.p, "q": eq.q,
+                "n_A": eq.n_A, "n_B": eq.n_B, "A": [], "B": [], "C": "C.mtx", "D": "D.mtx"}
+    for i, pair in enumerate(eq.terms, start=1):
+        for key, coeff in zip("AB", pair):
+            name = f"{key}_{i}.mtx"
+            mmwrite(directory / name, sp.coo_matrix(coeff), precision=17)
+            manifest[key].append(name)
     mmwrite(directory / "C.mtx", eq.C, precision=17)
     mmwrite(directory / "D.mtx", eq.D, precision=17)
-    manifest = EquationManifest(
-        a_paths=tuple(a_paths),
-        b_paths=tuple(b_paths),
-        c_path="C.mtx",
-        d_path="D.mtx",
-        p=eq.p,
-        q=eq.q,
-        n_A=eq.n_A,
-        n_B=eq.n_B,
-    )
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest.to_json(), indent=2))
+    path.write_text(json.dumps(manifest, indent=2))
     return path
 
 
@@ -200,43 +143,44 @@ def load_manifest(path) -> MultitermEquation:
 
     Validates that every file matches the dimensions recorded in the
     manifest and warns when the right-hand-side factors are numerically
-    rank deficient.
+    rank deficient. Manifest keys beyond those it reads are ignored.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    manifest = EquationManifest.from_json(data)
+    try:
+        a_paths, b_paths, c_path, d_path = (data[key] for key in "ABCD")
+        p, q, n_a, n_b = (int(data[key]) for key in ("p", "q", "n_A", "n_B"))
+    except KeyError as exc:
+        raise ManifestError(f"manifest is missing the {exc} entry") from exc
     base = path.parent
 
-    if len(manifest.a_paths) != manifest.p or len(manifest.b_paths) != manifest.p:
+    if len(a_paths) != p or len(b_paths) != p:
         raise ManifestError(
-            f"{path}: expected {manifest.p} coefficient pairs, found "
-            f"{len(manifest.a_paths)} / {len(manifest.b_paths)}"
+            f"{path}: expected {p} coefficient pairs, found "
+            f"{len(a_paths)} / {len(b_paths)}"
         )
     terms = []
-    for i, (a_rel, b_rel) in enumerate(zip(manifest.a_paths, manifest.b_paths), 1):
+    for a_rel, b_rel in zip(a_paths, b_paths):
         a = _read_matrix(base / a_rel)
         b = _read_matrix(base / b_rel)
-        if a.shape != (manifest.n_A, manifest.n_A):
+        if a.shape != (n_a, n_a):
             raise ManifestError(
-                f"{base / a_rel}: expected shape "
-                f"({manifest.n_A}, {manifest.n_A}), got {a.shape}"
+                f"{base / a_rel}: expected shape ({n_a}, {n_a}), got {a.shape}"
             )
-        if b.shape != (manifest.n_B, manifest.n_B):
+        if b.shape != (n_b, n_b):
             raise ManifestError(
-                f"{base / b_rel}: expected shape "
-                f"({manifest.n_B}, {manifest.n_B}), got {b.shape}"
+                f"{base / b_rel}: expected shape ({n_b}, {n_b}), got {b.shape}"
             )
         terms.append((a, b))
-    c = np.asarray(_read_matrix(base / manifest.c_path), dtype=float)
-    d = np.asarray(_read_matrix(base / manifest.d_path), dtype=float)
-    for name, factor, rows in (("C", c, manifest.n_A), ("D", d, manifest.n_B)):
-        if factor.shape != (rows, manifest.q):
+    c = np.asarray(_read_matrix(base / c_path), dtype=float)
+    d = np.asarray(_read_matrix(base / d_path), dtype=float)
+    for name, factor, rows in (("C", c, n_a), ("D", d, n_b)):
+        if factor.shape != (rows, q):
             raise ManifestError(
-                f"{path}: {name} has shape {factor.shape}, expected "
-                f"({rows}, {manifest.q})"
+                f"{path}: {name} has shape {factor.shape}, expected ({rows}, {q})"
             )
         svals = np.linalg.svd(factor, compute_uv=False)
         if svals.size and svals[-1] <= 1e-12 * svals[0]:

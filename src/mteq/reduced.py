@@ -8,7 +8,9 @@ coefficient operator has ``p**2`` terms built from small Gram blocks:
 
 Its vectorized coefficient matrix is symmetric positive (semi)definite, so
 small instances are solved by Cholesky on the assembled Kronecker sum and
-larger ones by matrix-form PCG that never assembles it.
+larger ones by matrix-form PCG that never assembles it. The path threshold
+and the PCG budget are module constants, read when a system is built or
+solved.
 """
 
 from __future__ import annotations
@@ -28,28 +30,24 @@ from .operator import MultitermEquation, apply_L, left_stack, right_stack
 #: The assembled (direct Cholesky) path is taken while ``q_k**2`` stays
 #: below this; larger projected systems run matrix-form PCG.
 DIRECT_THRESHOLD = 4000
+#: PCG stops once its residual falls below ``PCG_TOL`` relative to the
+#: right-hand side, or after ``PCG_MAXIT`` iterations.
+PCG_TOL = 1e-4
+PCG_MAXIT = 200
 
 
 @dataclass(frozen=True)
 class InnerSolveConfig:
-    """PCG settings for the projected solves.
+    """Preconditioning of the PCG projected solves.
 
-    PCG stops once the residual falls below ``pcg_tol`` relative to the
-    right-hand side, or after ``pcg_maxit`` iterations.
     ``inner_precond_terms`` designates the two leading terms whose diagonal
-    Gram blocks precondition it, stored as a tuple; ``None`` means no
+    Gram blocks precondition PCG, stored as a tuple; ``None`` means no
     preconditioning.
     """
 
-    pcg_tol: float = 1e-4
-    pcg_maxit: int = 200
     inner_precond_terms: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.pcg_tol < 1.0:
-            raise ValueError(f"pcg_tol must lie in (0, 1), got {self.pcg_tol}")
-        if self.pcg_maxit <= 0:
-            raise ValueError(f"pcg_maxit must be positive, got {self.pcg_maxit}")
         if self.inner_precond_terms is not None:
             terms = tuple(self.inner_precond_terms)
             object.__setattr__(self, "inner_precond_terms", terms)
@@ -68,7 +66,9 @@ class ReducedSystem:
     otherwise, and prepares it: the direct path factors the assembled
     matrix, the PCG path builds the inner preconditioner of
     ``cfg.inner_precond_terms``. :func:`solve_reduced` then solves for any
-    number of right-hand sides without further set-up.
+    number of right-hand sides without further set-up. A non-finite Gram
+    table, from an overflowing operator image, raises
+    ``FloatingPointError`` before anything is factored.
     """
 
     left_grams: np.ndarray
@@ -83,6 +83,8 @@ class ReducedSystem:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.left_grams).all() and np.isfinite(self.right_grams).all()):
+            raise FloatingPointError("projected Gram table is not finite")
         qk = self.q_k
         path = "direct" if qk * qk < DIRECT_THRESHOLD else "pcg"
         inverse, regularized = None, False
@@ -223,7 +225,6 @@ def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
 
 
 def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
-    cfg = sys.cfg
     apply_m = sys._inverse or (lambda f: f)
     x = np.zeros((sys.q_k, sys.q_k))
     r = rhs.copy()
@@ -236,7 +237,7 @@ def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     rz = float(np.sum(r * z))
     converged = False
     iters = 0
-    for iters in range(1, cfg.pcg_maxit + 1):
+    for iters in range(1, PCG_MAXIT + 1):
         w = sys.apply(p)
         denom = float(np.sum(p * w))
         if denom <= 0.0:
@@ -244,7 +245,7 @@ def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
         step = rz / denom
         x = x + step * p
         r = r - step * w
-        if np.linalg.norm(r) <= cfg.pcg_tol * rhs_norm:
+        if np.linalg.norm(r) <= PCG_TOL * rhs_norm:
             converged = True
             break
         z = apply_m(r)
@@ -253,8 +254,8 @@ def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
         rz = rz_new
     if not converged:
         warnings.warn(
-            f"inner PCG did not reach tol {cfg.pcg_tol:.1e} within "
-            f"{cfg.pcg_maxit} iterations; returning the best iterate",
+            f"inner PCG did not reach tol {PCG_TOL:.1e} within "
+            f"{PCG_MAXIT} iterations; returning the best iterate",
             RuntimeWarning,
         )
     return x, {"path": "pcg", "pcg_iters": iters, "converged": converged,

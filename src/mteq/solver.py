@@ -62,11 +62,12 @@ class SolveReport:
 
     ``status`` is ``"converged"``, ``"maxit_reached"``, ``"stagnated"``
     (the step coefficient vanished again after a redraw) or
-    ``"breakdown"`` (a step coefficient or the residual estimate was not
-    finite). ``iterations`` counts accepted steps; a redraw is not one.
-    ``residual_estimates`` and ``ranks`` carry one entry for the initial
-    state plus one per iteration (``iterations + 1`` in total); the rank
-    triples are ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
+    ``"breakdown"`` (a step coefficient, the residual estimate or a
+    projected Gram table was not finite). ``iterations`` counts accepted
+    steps; a redraw is not one. ``residual_estimates`` and ``ranks`` carry
+    one entry for the initial state plus one per iteration
+    (``iterations + 1`` in total); the rank triples are
+    ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
     iteration: ``(min, max)`` over that iteration's projected solves when
     the iterative path ran, else ``None``. Estimates are not guaranteed
     monotone once truncation is active. ``sketch_dim`` is the sketch
@@ -196,10 +197,10 @@ def solve(
     the accumulated core, the direction is redrawn once from the
     un-preconditioned residual; the redraw uses up a pass. A second
     vanishing step stops the solve with status ``"stagnated"``. A step
-    coefficient ``alpha`` or ``beta`` or a residual estimate that is not
-    finite stops it with status ``"breakdown"`` and a ``RuntimeWarning``;
-    the iterate returned is the last one whose estimate was finite, and
-    the report describes that iterate. A ``ValueError`` is raised up front
+    coefficient ``alpha`` or ``beta``, a residual estimate or a projected
+    Gram table that is not finite stops it with status ``"breakdown"`` and
+    a ``RuntimeWarning``; the iterate returned is the last one whose
+    estimate was finite, and the report describes that iterate. A ``ValueError`` is raised up front
     when ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does
     not have, and when the initial guess has a non-finite residual
     estimate.
@@ -242,7 +243,11 @@ def solve(
         x_next = x
         if k > 0:
             with _timer(times, "reduced"):
-                sys = build_reduced(eq, p, cfg.inner)
+                try:
+                    sys = build_reduced(eq, p, cfg.inner)
+                except FloatingPointError:
+                    _break_down("projected Gram table", report)
+                    break
                 alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
             infos.append(info)
             if not np.isfinite(alpha).all():

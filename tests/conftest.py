@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from mteq import LowRankMatrix, MultitermEquation
+from mteq import ConvDiffSpec, LowRankMatrix, MultitermEquation, build_convdiff
 
 
 def random_spd(rng, n, spread=(1.0, 2.0)):
@@ -85,3 +85,11 @@ def poison_step(monkeypatch, call):
     """
     _patch_step_coefficients(
         monkeypatch, lambda k, coeff: np.full_like(coeff, np.nan) if k == call else coeff)
+
+
+def overflowing_convdiff(n=34):
+    """Convdiff with every ``A_i`` scaled by 1e160: the Gram products of the
+    first direction's operator images overflow to inf, the right-hand side
+    and the initial residual stay finite."""
+    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    return MultitermEquation(terms=[(1e160 * a, b) for a, b in eq.terms], C=eq.C, D=eq.D)

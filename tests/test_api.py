@@ -40,3 +40,12 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
     assert flags
     assert sorted(flags - _cli_options()) == []
+
+
+def test_no_module_reads_the_environment():
+    # Settings come from flags and config fields only; an environment
+    # variable would be a second way in that report.json does not record.
+    src = Path(mteq.__file__).resolve().parent
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if re.search(r"\b(environ|getenv)\b", path.read_text())]
+    assert readers == []

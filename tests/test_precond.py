@@ -144,11 +144,13 @@ def test_analytic_interval_rejects_other_matrices():
     assert analytic_laplacian_interval(dense) == analytic_laplacian_interval(lap)
 
 
-def test_estimated_interval_brackets_spectrum():
+def test_estimated_interval_brackets_spectrum(monkeypatch):
+    monkeypatch.setattr(precond, "POWER_ITERS", 50)
+    monkeypatch.setattr(precond, "POWER_TOL", 1e-6)
     rng = np.random.default_rng(4)
     a = sp.csr_matrix(random_spd(rng, 40, spread=(0.5, 8.0)))
     lam = np.linalg.eigvalsh(a.toarray())
-    lo, hi = estimated_interval(a, iters=50, tol=1e-6)
+    lo, hi = estimated_interval(a)
     assert lo <= lam[0] * 1.001
     assert hi >= lam[-1] * 0.999
     assert lo > 0

@@ -175,8 +175,9 @@ def test_direct_and_pcg_paths_agree(monkeypatch):
     rhs = rng.standard_normal((5, 5))
     direct, info_d = solve_reduced(build_reduced(eq, p), rhs)
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
-    pcg, info_p = solve_reduced(
-        build_reduced(eq, p, InnerSolveConfig(pcg_tol=1e-6, pcg_maxit=500)), rhs)
+    monkeypatch.setattr(mteq.reduced, "PCG_TOL", 1e-6)
+    monkeypatch.setattr(mteq.reduced, "PCG_MAXIT", 500)
+    pcg, info_p = solve_reduced(build_reduced(eq, p), rhs)
     assert info_d["path"] == "direct" and info_p["path"] == "pcg"
     assert info_p["converged"]
     assert np.linalg.norm(direct - pcg) <= 1e-3 * np.linalg.norm(direct)
@@ -184,15 +185,16 @@ def test_direct_and_pcg_paths_agree(monkeypatch):
 
 def test_pcg_with_two_term_preconditioner(monkeypatch):
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    monkeypatch.setattr(mteq.reduced, "PCG_TOL", 1e-8)
+    monkeypatch.setattr(mteq.reduced, "PCG_MAXIT", 500)
     rng = np.random.default_rng(14)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p_l = orthonormal(rng, 16, 6)
     p_r = orthonormal(rng, 16, 6)
     p = direction(p_l, p_r)
     rhs = rng.standard_normal((6, 6))
-    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500)
-    plain, info_plain = solve_reduced(build_reduced(eq, p, cfg), rhs)
-    cfg = dataclasses.replace(cfg, inner_precond_terms=(0, 1))
+    plain, info_plain = solve_reduced(build_reduced(eq, p), rhs)
+    cfg = InnerSolveConfig(inner_precond_terms=(0, 1))
     pre, info_pre = solve_reduced(build_reduced(eq, p, cfg), rhs)
     assert info_pre["converged"]
     assert np.linalg.norm(plain - pre) <= 1e-5 * np.linalg.norm(plain)
@@ -224,11 +226,13 @@ def test_system_is_frozen_and_factored_once(monkeypatch):
 
 def test_inner_preconditioner_built_once_per_direction(monkeypatch):
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    monkeypatch.setattr(mteq.reduced, "PCG_TOL", 1e-8)
+    monkeypatch.setattr(mteq.reduced, "PCG_MAXIT", 500)
     rng = np.random.default_rng(17)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p_l, p_r = orthonormal(rng, 16, 5), orthonormal(rng, 16, 5)
     r, z = random_lowrank(rng, 16, 16, 2), random_lowrank(rng, 16, 16, 2)
-    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500, inner_precond_terms=(0, 1))
+    cfg = InnerSolveConfig(inner_precond_terms=(0, 1))
     calls = []
     eigh = mteq.reduced.sla.eigh
     monkeypatch.setattr(mteq.reduced.sla, "eigh",
@@ -270,18 +274,19 @@ def test_clipped_eigh_solves_when_both_choleskys_fail(monkeypatch):
 
 def test_failed_inner_preconditioner_setup_runs_plain_cg(monkeypatch):
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    monkeypatch.setattr(mteq.reduced, "PCG_TOL", 1e-8)
+    monkeypatch.setattr(mteq.reduced, "PCG_MAXIT", 500)
     rng = np.random.default_rng(20)
     eq = random_posdef_equation(rng, 16, 16, 3, 1, nonsym=0.05)
     p = direction(orthonormal(rng, 16, 5), orthonormal(rng, 16, 5))
     rhs = rng.standard_normal((5, 5))
-    cfg = InnerSolveConfig(pcg_tol=1e-8, pcg_maxit=500)
-    plain, info_plain = solve_reduced(build_reduced(eq, p, cfg), rhs)
+    plain, info_plain = solve_reduced(build_reduced(eq, p), rhs)
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(mteq.reduced.sla, "eigh", failing)
-    cfg = dataclasses.replace(cfg, inner_precond_terms=(0, 1))
+    cfg = InnerSolveConfig(inner_precond_terms=(0, 1))
     with pytest.warns(RuntimeWarning, match="inner preconditioner setup failed"):
         sys = build_reduced(eq, p, cfg)
     coeff, info = solve_reduced(sys, rhs)
@@ -289,11 +294,18 @@ def test_failed_inner_preconditioner_setup_runs_plain_cg(monkeypatch):
     assert np.array_equal(coeff, plain) and info["pcg_iters"] == info_plain["pcg_iters"]
 
 
-def test_inner_config_validation():
-    for name, value in [("pcg_maxit", 0), ("pcg_tol", 0.0), ("pcg_tol", 1.0),
-                        ("pcg_tol", -1e-4)]:
-        with pytest.raises(ValueError, match=name):
-            InnerSolveConfig(**{name: value})
+@pytest.mark.parametrize("side", ["left_grams", "right_grams"])
+def test_non_finite_gram_table_raises_before_factoring(monkeypatch, side):
+    rng = np.random.default_rng(21)
+    eq = random_posdef_equation(rng, 8, 8, 2, 1)
+    sys = build_reduced(eq, direction(orthonormal(rng, 8, 2), orthonormal(rng, 8, 2)))
+    grams = {"left_grams": sys.left_grams.copy(), "right_grams": sys.right_grams.copy()}
+    grams[side][1, 0, 1, 1] = np.inf
+    calls = []
+    monkeypatch.setattr(mteq.reduced.sla, "cho_factor", lambda *a, **k: calls.append(a))
+    with pytest.raises(FloatingPointError, match="projected Gram table is not finite"):
+        ReducedSystem(**grams)
+    assert calls == []
 
 
 def test_inner_precond_terms_stored_as_a_pair():

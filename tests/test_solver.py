@@ -23,6 +23,7 @@ from mteq import (
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
+    overflowing_convdiff,
     poison_step,
     random_lowrank,
     random_posdef_equation,
@@ -383,6 +384,21 @@ def test_non_finite_estimate_breaks_down_at_the_last_finite_iterate(monkeypatch)
     calls.append(0.0)  # the next call is the second: the initial residual
     with pytest.raises(ValueError, match="initial guess is not finite"):
         solve(eq, convdiff_config("ss_gcr1", maxit=10))
+
+
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_overflowing_projected_system_breaks_down(method):
+    # The Cholesky of the assembled system raised scipy's bare ValueError.
+    eq = overflowing_convdiff()
+    with pytest.warns(RuntimeWarning, match="projected Gram table is not finite"):
+        x, rep = solve(eq, SolverConfig(method=method), compute_true_residual=True)
+    assert rep.status == "breakdown"
+    assert rep.iterations == 0
+    assert len(rep.residual_estimates) == len(rep.ranks) == 1
+    assert rep.inner_pcg_iters == []
+    # The last finite iterate is the zero initial guess.
+    assert x.is_zero
+    assert rep.true_final_residual == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("terms", [(-1, 0), (9, 9), (0, 4)])
