@@ -2,10 +2,10 @@
 
 numpy and scipy wheels each bundle their own OpenBLAS: numpy's ``@`` runs
 on one runtime, scipy's LAPACK (QR with ``geqrt``/``gemqrt``, SVD, Cholesky,
-``eigh``, LDL^T) on the other. Each starts a pool of threads, and the two pools' spinning
-workers contend for the same cores. :func:`single_pool` runs numpy's pool
-at one thread for the duration of a solve and leaves scipy's at its own
-count. It acts only when it observes two distinct runtimes; with a shared
+``eigh``, LDL^T) and BLAS (the range finder's ``dgemm``) on the other. Each
+starts a pool of threads, and the two pools' spinning workers contend for
+the same cores. :func:`single_pool` runs numpy's pool at one thread for the
+duration of a solve and leaves scipy's at its own count. It acts only when it observes two distinct runtimes; with a shared
 runtime, another BLAS or missing symbols it does nothing.
 """
 

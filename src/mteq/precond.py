@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -113,7 +114,9 @@ def wachspress_shifts(
     both sides of the ADI iteration share the sequence; when the intervals
     coincide (the common case of equal row and column operators) this is
     the classical optimal choice, otherwise it remains convergent but
-    suboptimal.
+    suboptimal. A hull too stiff for the float64 elliptic modulus (an end
+    ratio from about 2e8, where ``1 - (a/b)**2`` rounds to 1) gives
+    non-finite shifts and raises ``ValueError`` naming the hull.
     """
     a, b = map(float, interval_left)
     c, d = map(float, interval_right)
@@ -129,7 +132,14 @@ def wachspress_shifts(
             "spectral intervals touch or straddle zero; ADI needs a "
             "definite leading operator"
         )
-    return sign * _elliptic_shifts(min(a, c), max(b, d), t_adi)
+    lo, hi = min(a, c), max(b, d)
+    shifts = sign * _elliptic_shifts(lo, hi, t_adi)
+    if not np.isfinite(shifts).all():
+        hull = sorted((sign * lo, sign * hi))
+        raise ValueError(
+            f"ADI shifts on the spectral hull [{hull[0]:.6g}, {hull[1]:.6g}] (end ratio "
+            f"{hi / lo:.3g}) are not finite: the elliptic modulus rounds to 1")
+    return shifts
 
 
 def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
@@ -171,7 +181,7 @@ def _power_iteration(apply, v: np.ndarray) -> float:
         lam, lam_prev = float(v @ w), lam
         if lam_prev and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
             break
-        v = w / np.linalg.norm(w)
+        v = w / sla.norm(w)  # BLAS nrm2 scales: no overflow past 1e154
     return lam
 
 

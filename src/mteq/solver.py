@@ -11,7 +11,9 @@ residual norm over the current direction pair:
 
 All iterates stay in low-rank factored form with truncation after every
 update, and the stopping test uses a sketched estimate of the residual
-norm when the problem is large.
+norm when the problem is large. Preconditioner output wider than the
+residual is compressed by a seeded range finder (see
+:func:`mteq.lowrank.truncate`); every other truncation is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._blas import single_pool
-from .lowrank import LowRankMatrix, TruncationConfig, factored_sum, truncate
+from .lowrank import OVERSAMPLING, LowRankMatrix, TruncationConfig, factored_sum, truncate
 from .operator import MultitermEquation, residual_factored
 from .precond import PreconditionerSpec, build_preconditioner
 from .reduced import InnerSolveConfig, alpha_rhs, beta_rhs, build_reduced, solve_reduced
@@ -62,11 +64,12 @@ class SolveReport:
 
     ``status`` is ``"converged"``, ``"maxit_reached"``, ``"stagnated"``
     (the step coefficient vanished again after a redraw) or
-    ``"breakdown"`` (a step coefficient, the residual estimate or a
-    projected Gram table was not finite). ``iterations`` counts accepted
-    steps; a redraw is not one. ``residual_estimates`` and ``ranks`` carry
-    one entry for the initial state plus one per iteration
-    (``iterations + 1`` in total); the rank triples are
+    ``"breakdown"`` (a step coefficient, the residual estimate, a
+    projected Gram table or the preconditioner's output was not finite).
+    ``iterations`` counts accepted steps; a redraw is not one.
+    ``residual_estimates`` and ``ranks`` carry one entry for the initial
+    state plus one per iteration (``iterations + 1`` in total); the rank
+    triples are
     ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
     iteration: ``(min, max)`` over that iteration's projected solves when
     the iterative path ran, else ``None``. Estimates are not guaranteed
@@ -106,11 +109,15 @@ class SolveReport:
 class IterationInfo:
     """Snapshot handed to a solve callback at the end of each iteration.
 
-    ``k`` is the zero-based index of the accepted step. ``Z``, ``P_next``
-    and ``beta`` are ``None`` on the converged iteration, which draws no
-    next direction; ``P_next`` and ``beta`` are ``None`` on an iteration
-    whose ``beta`` broke down, and ``beta`` is also ``None`` for
-    ``ss_mr``.
+    ``k`` is the zero-based index of the accepted step. ``Z`` is the
+    preconditioned residual as the recurrence uses it: truncated when it
+    was wider than ``R`` (through the range finder, so its factors are
+    orthonormal) or when it is the next direction itself, else as the
+    preconditioner returned it. ``Z``, ``P_next`` and ``beta`` are ``None``
+    on the converged iteration, which draws no next direction, and on one
+    whose preconditioner output was not finite; ``P_next`` and ``beta`` are
+    ``None`` on an iteration whose ``beta`` broke down, and ``beta`` is
+    also ``None`` for ``ss_mr``.
     """
 
     k: int
@@ -197,17 +204,23 @@ def solve(
     the accumulated core, the direction is redrawn once from the
     un-preconditioned residual; the redraw uses up a pass. A second
     vanishing step stops the solve with status ``"stagnated"``. A step
-    coefficient ``alpha`` or ``beta``, a residual estimate or a projected
-    Gram table that is not finite stops it with status ``"breakdown"`` and
-    a ``RuntimeWarning``; the iterate returned is the last one whose
-    estimate was finite, and the report describes that iterate. A ``ValueError`` is raised up front
+    coefficient ``alpha`` or ``beta``, a residual estimate, a projected
+    Gram table or a preconditioner output that is not finite stops it with
+    status ``"breakdown"`` and a ``RuntimeWarning``; the iterate returned
+    is the last one whose estimate was finite, and the report describes
+    that iterate. A ``ValueError`` is raised up front
     when ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does
     not have, and when the initial guess has a non-finite residual
     estimate.
 
+    Preconditioner output wider than the residual is truncated by the
+    range finder of :func:`mteq.lowrank.truncate`, with a Gaussian test
+    matrix of ``cfg.truncation.maxrank + OVERSAMPLING`` columns drawn once
+    per solve from ``cfg.sketch_seed``, on a stream neither sketch uses.
+
     When numpy and scipy each bundle their own OpenBLAS, numpy's runs at one
-    thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK keeps
-    its own count.
+    thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK and
+    BLAS keep their own count.
     """
     terms = cfg.inner.inner_precond_terms
     if terms is not None and not all(0 <= t < eq.p for t in terms):
@@ -230,6 +243,13 @@ def solve(
     report.sketch_mode = policy.mode
     report.sketch_dim = policy.s
     report.sketch_n_fft = tuple(None if op is None else op.n_fft for op in (s_a, s_b))
+
+    # The range finder's test matrix, drawn on a stream neither sketch uses.
+    # A sample as wide as either dimension would compress nothing.
+    sample_cols, omega = cfg.truncation.maxrank + OVERSAMPLING, None
+    if sample_cols < min(eq.n_A, eq.n_B):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.sketch_seed, spawn_key=(0,)))
+        omega = rng.standard_normal((sample_cols, eq.n_B)).T
 
     with _timer(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
@@ -297,13 +317,19 @@ def solve(
                 z = precond.apply(r)
             # ss_gcr1 recombines z with the direction just used; otherwise z
             # is the next direction. Output wider than r (ADI's is t_adi
-            # times as wide) is truncated either way.
+            # times as wide) is truncated either way, through the range
+            # finder: r's rank is at most maxrank, so narrower output always
+            # falls back to the exact kernel.
             recombine = cfg.method == "ss_gcr1" and k > 0
             if z.rank > r.rank or not recombine:
                 with _timer(times, "truncation"):
-                    z = truncate(z, cfg.truncation)
+                    try:
+                        z = truncate(z, cfg.truncation, omega)
+                    except FloatingPointError:
+                        _break_down("preconditioned residual", report)
+                        z = None
             p_next = z
-            if recombine:
+            if recombine and z is not None:
                 with _timer(times, "reduced"):
                     beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
                 infos.append(info)

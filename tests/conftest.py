@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -93,3 +95,18 @@ def overflowing_convdiff(n=34):
     and the initial residual stay finite."""
     eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
     return MultitermEquation(terms=[(1e160 * a, b) for a, b in eq.terms], C=eq.C, D=eq.D)
+
+
+def poison_preconditioner(monkeypatch, call):
+    """Make the ``call``-th ADI application (1-based) return a NaN in its left factor."""
+    from mteq.precond import TwoTermAdiPreconditioner
+
+    apply, calls = TwoTermAdiPreconditioner.apply, itertools.count(1)
+
+    def patched(self, r):
+        z = apply(self, r)
+        if next(calls) == call:
+            z.left[0, 0] = np.nan
+        return z
+
+    monkeypatch.setattr(TwoTermAdiPreconditioner, "apply", patched)

@@ -15,7 +15,8 @@ from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, Preconditio
                   SolverConfig, TruncationConfig, build_convdiff, save_manifest)
 from mteq.cli import _build_config, build_parser, main
 
-from conftest import overflowing_convdiff, poison_step, vanish_first_steps
+from conftest import (overflowing_convdiff, poison_preconditioner, poison_step,
+                      vanish_first_steps)
 
 
 def solve_argv(tmp_path, extra=()):
@@ -128,6 +129,33 @@ def test_overflowing_projected_system_exits_3_but_writes_report(tmp_path):
     assert result["iterations"] == 0
     assert result["true_final_residual"] == pytest.approx(1.0)
     assert (tmp_path / "history.csv").exists()
+
+
+def test_non_finite_preconditioner_output_exits_3_but_writes_report(tmp_path, monkeypatch):
+    # This exited 2 with scipy's "array must not contain infs or NaNs".
+    poison_preconditioner(monkeypatch, 2)
+    with pytest.warns(RuntimeWarning, match="preconditioned residual is not finite"):
+        code = run_solve(tmp_path)
+    assert code == 3
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["status"] == "breakdown"
+    assert result["iterations"] == 1
+    assert np.isfinite(result["true_final_residual"])
+    assert (tmp_path / "history.csv").exists()
+
+
+def test_too_stiff_adi_hull_exits_2(tmp_path, capsys):
+    # Once its interval no longer overflows, the overflow manifest's ADI hull
+    # spans about 4.7e162: every shift was NaN and the solve died in the
+    # truncation with scipy's "array must not contain infs or NaNs".
+    manifest = save_manifest(overflowing_convdiff(), tmp_path / "eq")
+    with pytest.warns(RuntimeWarning, match="companion"):  # A_2 is 1e160 I
+        code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                     "--precond", "two-term-adi", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ADI shifts on the spectral hull [0.2" in err
+    assert "are not finite" in err
 
 
 @pytest.mark.parametrize("pair", ["0,1", "9,9"])

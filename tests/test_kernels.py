@@ -20,9 +20,16 @@ from mteq import (
     solve_reduced,
     truncate,
 )
-from mteq.lowrank import _QR_BLOCK, householder_qr, select_rank, truncated_svd
+from mteq.lowrank import (
+    _QR_BLOCK,
+    OVERSAMPLING,
+    NonFiniteError,
+    householder_qr,
+    select_rank,
+    truncated_svd,
+)
 
-from conftest import direction
+from conftest import direction, random_lowrank
 
 TOL = 1e-12
 
@@ -167,6 +174,90 @@ def test_non_finite_factor_raises(bad):
         truncated_svd(left, np.eye(4), right, TruncationConfig())
     with pytest.raises(ValueError):
         LowRankMatrix(left, np.eye(4), right).norm_fro()
+
+
+def factored_with_spectrum(rng, n_rows, n_cols, sigma):
+    """``U diag(sigma) V^T`` behind random invertible mixings of each side,
+    so that neither factor is orthonormal."""
+    k = sigma.size
+    u, v = orthonormal(rng, n_rows, k), orthonormal(rng, n_cols, k)
+    ml, mr = (np.eye(k) + 0.3 * rng.standard_normal((k, k)) for _ in range(2))
+    core = np.linalg.solve(ml, np.diag(sigma)) @ np.linalg.inv(mr).T
+    return LowRankMatrix(np.asfortranarray(u @ ml), core, np.asfortranarray(v @ mr))
+
+
+def gaussian_omega(rng, n_cols, maxrank):
+    return rng.standard_normal((maxrank + OVERSAMPLING, n_cols)).T
+
+
+def test_range_finder_matches_the_exact_kernel_on_a_fast_decay():
+    rng = np.random.default_rng(30)
+    m = factored_with_spectrum(rng, 300, 200, 0.2 ** np.arange(80))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=6)
+    exact = truncate(m, cfg)
+    out = truncate(m, cfg, gaussian_omega(rng, 200, cfg.maxrank))
+    assert out.rank == exact.rank == 6
+    dense = m.densify()
+    err_exact = np.linalg.norm(dense - exact.densify())
+    assert np.linalg.norm(dense - out.densify()) == pytest.approx(err_exact, rel=1e-10)
+
+
+def test_range_finder_error_on_a_slow_decay():
+    rng = np.random.default_rng(31)
+    sigma = 1.0 / np.arange(1, 121)
+    m = factored_with_spectrum(rng, 250, 220, sigma)
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=10)
+    out = truncate(m, cfg, gaussian_omega(rng, 220, cfg.maxrank))
+    assert out.rank == 10
+    tail = np.linalg.norm(sigma[10:])
+    assert np.linalg.norm(m.densify() - out.densify()) <= 10 * tail
+
+
+@pytest.mark.parametrize(("n_rows", "width", "n_cols"), [(100, 15, 100), (12, 40, 100),
+                                                         (100, 40, 12)])
+def test_range_finder_falls_back_to_the_exact_kernel(n_rows, width, n_cols):
+    # l = maxrank + OVERSAMPLING = 15 columns: no fewer than the width or a
+    # dimension, so a sample would compress nothing.
+    rng = np.random.default_rng(32)
+    m = random_lowrank(rng, n_rows, n_cols, width)
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=5)
+    out, exact = truncate(m, cfg, gaussian_omega(rng, n_cols, 5)), truncate(m, cfg)
+    for got, want in zip((out.left, out.core, out.right), (exact.left, exact.core, exact.right)):
+        assert np.array_equal(got, want)
+
+
+def test_range_finder_of_zero_is_the_canonical_zero():
+    rng = np.random.default_rng(33)
+    m = LowRankMatrix(rng.standard_normal((90, 40)), np.zeros((40, 40)),
+                      rng.standard_normal((70, 40)))
+    out = truncate(m, TruncationConfig(maxrank=5), gaussian_omega(rng, 70, 5))
+    assert out.is_zero and out.shape == (90, 70)
+    assert out.left.shape[1] == out.right.shape[1] == 0
+
+
+def test_range_finder_output_is_orthonormal_and_repeatable():
+    rng = np.random.default_rng(34)
+    m = factored_with_spectrum(rng, 400, 300, 0.7 ** np.arange(90))
+    cfg = TruncationConfig(toltrank=1e-10, maxrank=12)
+    omega = gaussian_omega(rng, 300, cfg.maxrank)
+    out = truncate(m, cfg, omega)
+    assert out.orthonormal
+    for factor in (out.left, out.right):
+        assert np.abs(factor.T @ factor - np.eye(out.rank)).max() <= 1e-12
+    again = truncate(m, cfg, omega.copy())
+    for got, want in zip((out.left, out.core, out.right), (again.left, again.core, again.right)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_range_finder_rejects_a_non_finite_factor(side):
+    rng = np.random.default_rng(35)
+    m = random_lowrank(rng, 80, 60, 40)
+    getattr(m, side)[5, 3] = np.nan
+    with pytest.raises(NonFiniteError):
+        truncate(m, TruncationConfig(maxrank=5), gaussian_omega(rng, 60, 5))
+    assert issubclass(NonFiniteError, FloatingPointError)
+    assert issubclass(NonFiniteError, ValueError)
 
 
 def test_full_size_sketch_matches_exact_residual_truncation():

@@ -88,3 +88,11 @@ def test_traced_solve_runs_every_hook(harness, monkeypatch):
     metrics = tracing.span_metrics(tracer.spans)
     assert metrics["lowrank.truncate.in_cols"] > 0
     assert metrics["operator.stack.cols"] > 0
+    # The widest ADI output (t_adi = 8 times the residual's rank) is wider
+    # than the range finder's sample of maxrank + OVERSAMPLING = 13 columns,
+    # and its compression still runs inside a lowrank.truncate span.
+    adi_width = max(s.attrs["solve_cols"] // 2 for s in tracer.spans
+                    if s.name == "precond.apply")
+    assert adi_width > case.maxrank + mteq.lowrank.OVERSAMPLING
+    assert any(s.attrs.get("in_cols") == adi_width for s in tracer.spans
+               if s.name == "lowrank.truncate")

@@ -108,6 +108,16 @@ def test_wachspress_rejects_indefinite_interval():
         wachspress_shifts((1.0, 2.0), (-3.0, -1.0), 4)
 
 
+@pytest.mark.parametrize(("interval", "hull"), [((1.0, 1e9), "[1, 1e+09]"),
+                                                ((-1e9, -1.0), "[-1e+09, -1]")])
+def test_wachspress_shifts_of_a_too_stiff_hull_raise(interval, hull):
+    # From an end ratio of about 2e8 the float64 modulus 1 - (a/b)**2 rounds
+    # to 1, K(m) is infinite and every shift came back NaN.
+    with pytest.raises(ValueError) as exc:
+        wachspress_shifts(interval, interval, 4)
+    assert f"spectral hull {hull} (end ratio 1e+09) are not finite" in str(exc.value)
+
+
 def test_analytic_laplacian_interval_matches_dense_eigenvalues():
     for n in (64, 254):
         t = dirichlet_laplacian(n, scale=0.37)
@@ -416,6 +426,15 @@ def test_estimated_interval_of_indefinite_coefficient_raises_value_error(n, shif
                            C=np.ones((n, 1)), D=np.ones((n, 1)))
     with pytest.raises(ValueError, match="symmetric part of A_1 is indefinite"):
         build_preconditioner(eq, PreconditionerSpec.two_term_adi())
+
+
+def test_estimated_interval_of_a_huge_coefficient_scales():
+    # Power iteration normalized with np.linalg.norm, which overflows past
+    # about 1e154: the interval of 1e160 A_1 came back (2.35e159, nan).
+    a = build_convdiff(ConvDiffSpec(n=34, eps=0.1)).terms[0][0]
+    lo, hi = estimated_interval(a)
+    np.testing.assert_allclose(estimated_interval(1e160 * a), (1e160 * lo, 1e160 * hi),
+                               rtol=1e-12)
 
 
 def test_estimated_interval_of_a_negated_matrix_is_its_mirror_image():

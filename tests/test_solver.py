@@ -24,6 +24,7 @@ from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
     overflowing_convdiff,
+    poison_preconditioner,
     poison_step,
     random_lowrank,
     random_posdef_equation,
@@ -358,6 +359,58 @@ def test_non_finite_step_coefficient_breaks_down(monkeypatch, method, call, coef
         assert np.array_equal(got, want)
     assert np.isfinite(rep.true_final_residual)
     assert np.isfinite(rep.residual_estimates).all()
+
+
+@pytest.mark.parametrize("maxrank", [20, 60], ids=["range_finder", "exact_fallback"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_non_finite_preconditioner_output_breaks_down(monkeypatch, method, maxrank):
+    # A NaN in the ADI output escaped as ValueError from the truncation. At
+    # n_A = n_B = 64, maxrank 20 samples 30 columns, fewer than both
+    # dimensions and the output's width: the range finder runs. Maxrank 60
+    # samples 70 columns: the exact kernel runs.
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=10),
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=maxrank))
+    clean = []
+    solve(eq, cfg, callback=lambda info: clean.append(info.X))
+    assert len(clean) >= 2
+
+    poison_preconditioner(monkeypatch, 2)
+    infos = []
+    with pytest.warns(RuntimeWarning, match="preconditioned residual is not finite") as caught:
+        x, rep = solve(eq, cfg, callback=infos.append, compute_true_residual=True)
+    assert len(caught) == 1
+    assert rep.status == "breakdown"
+    assert rep.iterations == 1
+    assert len(rep.residual_estimates) == len(rep.ranks) == 2
+    assert len(infos) == 1 and infos[0].Z is None and infos[0].P_next is None
+    for got, want in zip((x.left, x.core, x.right),
+                         (clean[0].left, clean[0].core, clean[0].right)):
+        assert np.array_equal(got, want)
+    assert np.isfinite(rep.true_final_residual)
+
+
+@pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0)],
+                         ids=["none", "one_term"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_rank_preserving_preconditioners_never_take_the_range_finder(monkeypatch, method,
+                                                                     spec):
+    # Their output is no wider than the truncated residual, so every
+    # truncation is the exact kernel's: the same solve with the test matrix
+    # withheld is bit-identical.
+    import mteq.solver
+    from mteq.lowrank import truncate
+
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=4), preconditioner=spec,
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=10))
+    x, rep = solve(eq, cfg)
+    monkeypatch.setattr(mteq.solver, "truncate", lambda m, c, omega=None: truncate(m, c))
+    x_exact, rep_exact = solve(eq, cfg)
+    assert rep.residual_estimates == rep_exact.residual_estimates
+    assert rep.ranks == rep_exact.ranks
+    for got, want in zip((x.left, x.core, x.right), (x_exact.left, x_exact.core, x_exact.right)):
+        assert np.array_equal(got, want)
 
 
 def test_non_finite_estimate_breaks_down_at_the_last_finite_iterate(monkeypatch):
