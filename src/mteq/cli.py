@@ -68,10 +68,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("preconditioner")
     group.add_argument("--precond", choices=("none", "one-term", "two-term-adi"),
                        default=default.preconditioner.kind.replace("_", "-"))
-    group.add_argument("--precond-index", type=int, default=1,
-                       help="1-based term index (one-term)")
-    group.add_argument("--precond-terms", type=str, default="1,2", metavar="I,J",
-                       help="1-based term pair (two-term-adi)")
+    group.add_argument("--precond-terms", type=str, default=None, metavar="I[,J]",
+                       help="1-based term indices, as many as the --precond kind "
+                            "uses (default: 1 for one-term, 1,2 for two-term-adi)")
     group.add_argument("--adi-iters", type=int,
                        default=PreconditionerSpec.two_term_adi().t_adi)
     group.add_argument("--shift-source",
@@ -80,19 +79,18 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                             "convdiff, estimated otherwise)")
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+def _term_indices(text: str, flag: str, count: int, user: str, p: int) -> tuple[int, ...]:
+    """Parse ``count`` comma-separated 1-based term indices given on the
+    command line for ``user``; return them zero-based."""
     try:
-        i, j = (int(part) for part in text.split(","))
+        indices = tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise ValueError(f"{flag} expects two comma-separated integers") from None
-    return i, j
-
-
-def _zero_based(flag: str, indices: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Check 1-based term indices given on the command line; return them zero-based."""
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+    if len(indices) != count:
+        noun = "index" if count == 1 else "indices"
+        raise ValueError(f"{flag} {text}: {user} takes {count} term {noun}")
     if not all(1 <= i <= p for i in indices):
-        typed = ",".join(map(str, indices))
-        raise ValueError(f"{flag} {typed}: term indices run from 1 to {p}")
+        raise ValueError(f"{flag} {text}: term indices run from 1 to {p}")
     return tuple(i - 1 for i in indices)
 
 
@@ -115,24 +113,25 @@ def _build_config(args, p: int) -> SolverConfig:
         inner_terms = "1,2"
     inner_pair = None
     if inner_terms is not None and inner_terms.lower() != "none":
-        flag = "--inner-precond-terms"
-        inner_pair = _zero_based(flag, _parse_pair(inner_terms, flag), p)
+        inner_pair = _term_indices(inner_terms, "--inner-precond-terms", 2,
+                                   "the inner PCG", p)
 
     shift_source = args.shift_source
     if shift_source is None:
         shift_source = "analytic-laplacian" if args.problem == "convdiff" else "estimated"
-    if args.precond == "none":
-        precond = PreconditionerSpec.none()
-    elif args.precond == "one-term":
-        (index,) = _zero_based("--precond-index", (args.precond_index,), p)
-        precond = PreconditionerSpec.one_term(index)
-    else:
-        flag = "--precond-terms"
+    arity = {"none": 0, "one-term": 1, "two-term-adi": 2}[args.precond]
+    terms = args.precond_terms
+    if terms is None:
+        terms = ",".join(str(i) for i in range(1, arity + 1))
+    indices = _term_indices(terms, "--precond-terms", arity, f"--precond {args.precond}", p)
+    if args.precond == "two-term-adi":
         precond = PreconditionerSpec.two_term_adi(
-            indices=_zero_based(flag, _parse_pair(args.precond_terms, flag), p),
+            indices=indices,
             t_adi=args.adi_iters,
             shift_source=shift_source.replace("-", "_"),
         )
+    else:
+        precond = PreconditionerSpec(kind=args.precond.replace("-", "_"), indices=indices)
 
     return SolverConfig(
         method=args.method.replace("-", "_"),

@@ -66,19 +66,15 @@ class LowRankMatrix:
     left : ndarray, shape (n_rows, r_l)
     core : ndarray, shape (r_l, r_r)
     right : ndarray, shape (n_cols, r_r)
-    orthonormal : bool
-        Set when both ``left`` and ``right`` have orthonormal columns
-        (e.g. after a truncation). Zero-width factors are vacuously
-        orthonormal.
 
-    The zero matrix is represented with zero-width factors; see
-    :meth:`zeros`.
+    The outputs of :func:`truncate` have orthonormal ``left`` and ``right``
+    and a diagonal core. The zero matrix is represented with zero-width
+    factors; see :meth:`zeros`.
     """
 
     left: np.ndarray
     core: np.ndarray
     right: np.ndarray
-    orthonormal: bool = False
 
     def __post_init__(self):
         left = np.atleast_2d(np.asarray(self.left, dtype=float))
@@ -96,12 +92,7 @@ class LowRankMatrix:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "LowRankMatrix":
         """Canonical zero matrix with zero-width factors."""
-        return cls(
-            np.zeros((n_rows, 0)),
-            np.zeros((0, 0)),
-            np.zeros((n_cols, 0)),
-            orthonormal=True,
-        )
+        return cls(np.zeros((n_rows, 0)), np.zeros((0, 0)), np.zeros((n_cols, 0)))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "LowRankMatrix":
@@ -111,7 +102,7 @@ class LowRankMatrix:
         if s.size == 0 or s[0] == 0.0:
             return cls.zeros(*dense.shape)
         keep = int(np.count_nonzero(s))
-        return cls(u[:, :keep], np.diag(s[:keep]), vt[:keep].T, orthonormal=True)
+        return cls(u[:, :keep], np.diag(s[:keep]), vt[:keep].T)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -138,21 +129,15 @@ class LowRankMatrix:
                 f"refusing to densify a {n_rows} x {n_cols} matrix "
                 f"({n_rows * n_cols} entries > cap {max_entries})"
             )
-        if self.is_zero:
-            return np.zeros((n_rows, n_cols))
         return self.left @ self.core @ self.right.T
 
     def norm_fro(self) -> float:
         """Frobenius norm, computed from the factors only.
 
-        Orthonormal factors reduce to ``||core||_F``; otherwise the factors
-        are compressed to the triangles of their skinny QR first, which
-        avoids the cancellation a Gram-product evaluation would suffer.
+        The factors are compressed to the triangles of their skinny QR
+        first, which avoids the cancellation a Gram-product evaluation would
+        suffer.
         """
-        if self.is_zero:
-            return 0.0
-        if self.orthonormal:
-            return float(np.linalg.norm(self.core))
         rl = householder_qr(self.left)[0]
         rr = householder_qr(self.right)[0]
         return float(np.linalg.norm(rl @ self.core @ rr.T))
@@ -209,23 +194,23 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
 
     Returns the truncated matrix (diagonal core; orthonormal factors when
     both sides are exact) and the full singular-value vector of the
-    compressed core, whose norm is then the norm of the input.
+    compressed core, whose norm is then the norm of the input. Raises
+    :class:`NonFiniteError` when a factor or the compressed core product,
+    which can overflow on finite factors, holds inf or NaN.
     """
     n_rows, n_cols = left.shape[0], right.shape[0]
     if left.shape[1] == 0 or right.shape[1] == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), np.zeros(0)
     r_l, to_left = sides[0] or householder_qr(left)
     r_r, to_right = sides[1] or householder_qr(right)
-    u, sigma, vt = sla.svd(r_l @ core @ r_r.T, full_matrices=False)
+    small = r_l @ core @ r_r.T
+    if not np.isfinite(small).all():
+        raise NonFiniteError("the compressed core product holds inf or NaN")
+    u, sigma, vt = sla.svd(small, full_matrices=False)
     rank = select_rank(sigma, cfg)
     if rank == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), sigma
-    out = LowRankMatrix(
-        to_left(u[:, :rank]),
-        np.diag(sigma[:rank]),
-        to_right(vt[:rank].T),
-        orthonormal=sides[0] is None and sides[1] is None,
-    )
+    out = LowRankMatrix(to_left(u[:, :rank]), np.diag(sigma[:rank]), to_right(vt[:rank].T))
     return out, sigma
 
 
@@ -257,8 +242,7 @@ def truncate(m: LowRankMatrix, cfg: TruncationConfig,
     y = dgemm(1.0, m.left, m.core @ dgemm(1.0, m.right, omega, trans_a=1))
     q = householder_qr(y)[1](eye)
     bt = dgemm(1.0, m.right, m.core.T @ dgemm(1.0, m.left, q, trans_a=1))
-    out = truncated_svd(q, eye, bt, cfg, sides=((eye, lambda u: dgemm(1.0, q, u)), None))[0]
-    return LowRankMatrix(out.left, out.core, out.right, orthonormal=True)
+    return truncated_svd(q, eye, bt, cfg, sides=((eye, lambda u: dgemm(1.0, q, u)), None))[0]
 
 
 def factored_sum(

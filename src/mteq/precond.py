@@ -3,8 +3,9 @@
 A one-term preconditioner inverts a single coefficient pair exactly through
 cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
-number of factored ADI iterations with Wachspress shift parameters derived
-from spectral intervals of the two coefficients, closed-form or estimated
+number of factored ADI iterations with Wachspress shift parameters (Jacobi
+elliptic functions from :mod:`scipy.special`) derived from spectral
+intervals of the two coefficients, closed-form or estimated
 by power iteration within a fixed budget (module constants, like the
 estimate's widening and seed). A symmetric positive definite tridiagonal
 coefficient is factored by LAPACK's LDL^T, any other by SuperLU.
@@ -15,12 +16,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.special import ellipj, ellipk
 
 from .lowrank import LowRankMatrix
 from .operator import MultitermEquation
@@ -82,26 +83,6 @@ class PreconditionerSpec:
                    shift_source=shift_source)
 
 
-def _elliptic_shifts(a: float, b: float, t_adi: int) -> np.ndarray:
-    """Classical min-max shifts for a positive interval [a, b].
-
-    Evaluated through Jacobi elliptic functions:
-    ``p_j = b * dn((2j - 1) K(m) / (2 t), m)`` with ``m = 1 - (a/b)**2``.
-    The shifts decrease strictly from just below ``b`` to just above ``a``.
-    mpmath is used because ``m`` approaches 1 for stiff intervals.
-    """
-    if a == b:
-        return np.full(t_adi, a)
-    m = 1.0 - (a / b) ** 2
-    with mp.workdps(30):
-        big_k = mp.ellipk(m)
-        shifts = [
-            float(b * mp.ellipfun("dn", (2 * j - 1) * big_k / (2 * t_adi), m=m))
-            for j in range(1, t_adi + 1)
-        ]
-    return np.array(shifts)
-
-
 def wachspress_shifts(
     interval_left: tuple[float, float],
     interval_right: tuple[float, float],
@@ -114,9 +95,16 @@ def wachspress_shifts(
     both sides of the ADI iteration share the sequence; when the intervals
     coincide (the common case of equal row and column operators) this is
     the classical optimal choice, otherwise it remains convergent but
-    suboptimal. A hull too stiff for the float64 elliptic modulus (an end
-    ratio from about 2e8, where ``1 - (a/b)**2`` rounds to 1) gives
-    non-finite shifts and raises ``ValueError`` naming the hull.
+    suboptimal.
+
+    On the hull ``[a, b]`` the shifts are the classical min-max ones,
+    ``p_j = b * dn((2j - 1) K(m) / (2 t), m)`` with ``m = 1 - (a/b)**2``,
+    from scipy's ``ellipk`` and ``ellipj`` at the float64 modulus. They
+    decrease strictly from just below ``b`` to just above ``a``; ``a == b``
+    gives ``m = 0`` and ``t`` copies of ``a``. A hull too stiff for the
+    float64 modulus (an end ratio from about 2e8, where ``m`` rounds to 1
+    and ``K(m)`` is infinite) gives non-finite shifts and raises
+    ``ValueError`` naming the hull.
     """
     a, b = map(float, interval_left)
     c, d = map(float, interval_right)
@@ -133,7 +121,9 @@ def wachspress_shifts(
             "definite leading operator"
         )
     lo, hi = min(a, c), max(b, d)
-    shifts = sign * _elliptic_shifts(lo, hi, t_adi)
+    m = 1.0 - (lo / hi) ** 2
+    u = (2 * np.arange(1, t_adi + 1) - 1) * ellipk(m) / (2 * t_adi)
+    shifts = sign * hi * ellipj(u, m)[2]
     if not np.isfinite(shifts).all():
         hull = sorted((sign * lo, sign * hi))
         raise ValueError(

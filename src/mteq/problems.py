@@ -17,6 +17,7 @@ together by a JSON manifest.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +43,9 @@ class ConvDiffSpec:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError("need at least 4 grid points per dimension")
-        if self.eps <= 0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps (the diffusion coefficient) must lie in (0, inf), "
+                             f"got {self.eps}")
 
     @property
     def h(self) -> float:

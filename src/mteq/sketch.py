@@ -69,15 +69,12 @@ class SketchOperator:
             m = m[:, None]
         if m.shape[0] != self.n:
             raise ValueError(f"operand has {m.shape[0]} rows, sketch expects {self.n}")
-        if m.shape[1] == 0:
-            out = np.zeros((self.s, 0))
-        else:
-            # The signs are written straight into the zero-padded buffer,
-            # which the transform may then overwrite.
-            y = np.zeros((self.n_fft, m.shape[1]))
-            np.multiply(self.sign_flips[:, None], m, out=y[:self.n])
-            y = dct(y, type=2, norm="ortho", axis=0, overwrite_x=True)
-            out = np.sqrt(self.n_fft / self.s) * y[self.row_subset, :]
+        # The signs are written straight into the zero-padded buffer, which
+        # the transform may then overwrite.
+        y = np.zeros((self.n_fft, m.shape[1]))
+        np.multiply(self.sign_flips[:, None], m, out=y[:self.n])
+        y = dct(y, type=2, norm="ortho", axis=0, overwrite_x=True)
+        out = np.sqrt(self.n_fft / self.s) * y[self.row_subset, :]
         return out[:, 0] if squeeze else out
 
 

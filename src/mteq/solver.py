@@ -19,6 +19,7 @@ residual is compressed by a seeded range finder (see
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -56,6 +57,9 @@ class SolverConfig:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
+        if not isinstance(self.sketch_seed, numbers.Integral) or self.sketch_seed < 0:
+            raise ValueError(
+                f"sketch_seed must be a non-negative integer, got {self.sketch_seed!r}")
 
 
 @dataclass
@@ -160,6 +164,13 @@ def _pcg_entry(infos: list[dict]) -> tuple[int, int] | None:
     return (min(iters), max(iters))
 
 
+def _range_finder_sample(seed: int, n_cols: int, width: int) -> np.ndarray:
+    """The range finder's Gaussian test matrix, ``n_cols x width`` and
+    Fortran-ordered, drawn from ``seed`` on a stream neither sketch uses."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return rng.standard_normal((width, n_cols)).T
+
+
 def _break_down(what: str, report: SolveReport) -> None:
     report.status = "breakdown"
     warnings.warn(f"{what} is not finite; stopping at the last finite iterate",
@@ -215,8 +226,11 @@ def solve(
 
     Preconditioner output wider than the residual is truncated by the
     range finder of :func:`mteq.lowrank.truncate`, with a Gaussian test
-    matrix of ``cfg.truncation.maxrank + OVERSAMPLING`` columns drawn once
-    per solve from ``cfg.sketch_seed``, on a stream neither sketch uses.
+    matrix of ``cfg.truncation.maxrank + OVERSAMPLING`` columns drawn from
+    ``cfg.sketch_seed``, on a stream neither sketch uses. It is drawn once,
+    at the first output that the sample would compress: output wider than
+    the sample, which is narrower than both dimensions. One-term and
+    un-preconditioned solves never draw it.
 
     When numpy and scipy each bundle their own OpenBLAS, numpy's runs at one
     thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK and
@@ -244,12 +258,7 @@ def solve(
     report.sketch_dim = policy.s
     report.sketch_n_fft = tuple(None if op is None else op.n_fft for op in (s_a, s_b))
 
-    # The range finder's test matrix, drawn on a stream neither sketch uses.
-    # A sample as wide as either dimension would compress nothing.
     sample_cols, omega = cfg.truncation.maxrank + OVERSAMPLING, None
-    if sample_cols < min(eq.n_A, eq.n_B):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.sketch_seed, spawn_key=(0,)))
-        omega = rng.standard_normal((sample_cols, eq.n_B)).T
 
     with _timer(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
@@ -297,8 +306,11 @@ def solve(
                 x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
 
         with _timer(times, "sketch"):
-            r_next, estimate = sketched_residual_truncate(
-                eq, x_next, s_a, s_b, cfg.truncation)
+            try:
+                r_next, estimate = sketched_residual_truncate(
+                    eq, x_next, s_a, s_b, cfg.truncation)
+            except FloatingPointError:
+                r_next, estimate = None, math.nan
         if not math.isfinite(estimate):
             if k == 0:
                 raise ValueError("the residual estimate of the initial guess is not finite")
@@ -322,6 +334,10 @@ def solve(
             # falls back to the exact kernel.
             recombine = cfg.method == "ss_gcr1" and k > 0
             if z.rank > r.rank or not recombine:
+                # Draw the sample at the first output it would compress: one
+                # wider than the sample, which fits below both dimensions.
+                if omega is None and sample_cols < min(z.rank, *z.shape):
+                    omega = _range_finder_sample(cfg.sketch_seed, eq.n_B, sample_cols)
                 with _timer(times, "truncation"):
                     try:
                         z = truncate(z, cfg.truncation, omega)

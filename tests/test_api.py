@@ -1,7 +1,9 @@
 """Package surface: every exported name resolves, and the README names only what exists."""
 
 import argparse
+import ast
 import re
+import sys
 from pathlib import Path
 
 import mteq
@@ -40,6 +42,22 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
     assert flags
     assert sorted(flags - _cli_options()) == []
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # pyproject.toml is parsed by regex: tomllib needs Python 3.11, and the
+    # package supports 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    imported = set()
+    for path in Path(mteq.__file__).resolve().parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def test_no_module_reads_the_environment():

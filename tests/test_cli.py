@@ -15,8 +15,8 @@ from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, Preconditio
                   SolverConfig, TruncationConfig, build_convdiff, save_manifest)
 from mteq.cli import _build_config, build_parser, main
 
-from conftest import (overflowing_convdiff, poison_preconditioner, poison_step,
-                      vanish_first_steps)
+from conftest import (overflowing_convdiff, overflowing_rhs_convdiff, poison_preconditioner,
+                      poison_step, vanish_first_steps)
 
 
 def solve_argv(tmp_path, extra=()):
@@ -63,7 +63,7 @@ def test_solve_writes_report_and_history(tmp_path):
     pytest.param([], {"kind": "two_term_adi", "indices": [0, 1], "t_adi": 4,
                       "shift_source": "analytic_laplacian"}, id="extra0"),
     # A run with no ADI records no ADI settings.
-    pytest.param(["--precond", "one-term", "--precond-index", "2",
+    pytest.param(["--precond", "one-term", "--precond-terms", "2",
                   "--inner-precond-terms", "none", "--maxit", "3"],
                  {"kind": "one_term", "indices": [1], "t_adi": None, "shift_source": None},
                  id="extra1"),
@@ -179,14 +179,54 @@ def test_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, value):
 @pytest.mark.parametrize("extra", [
     ["--precond-terms", "0,1"],
     ["--precond-terms", "2,5"],
-    ["--precond", "one-term", "--precond-index", "0"],
-    ["--precond", "one-term", "--precond-index", "5"],
+    ["--precond", "one-term", "--precond-terms", "0"],
+    ["--precond", "one-term", "--precond-terms", "5"],
 ])
 def test_precond_term_flags_out_of_range_exit_2(tmp_path, capsys, extra):
     code = run_solve(tmp_path, extra=extra)
     assert code == 2
     flag, value = extra[-2:]
     assert f"{flag} {value}: term indices run from 1 to 4" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(("extra", "message"), [
+    (["--precond", "one-term", "--precond-terms", "1,2"],
+     "--precond-terms 1,2: --precond one-term takes 1 term index"),
+    (["--precond-terms", "2"], "--precond-terms 2: --precond two-term-adi takes 2 term indices"),
+    (["--precond", "none", "--precond-terms", "1"],
+     "--precond-terms 1: --precond none takes 0 term indices"),
+], ids=["one_term_pair", "two_term_adi_single", "none_single"])
+def test_precond_terms_of_the_wrong_count_exit_2(tmp_path, capsys, extra, message):
+    # Each flag of the two that set these indices was ignored under the
+    # other preconditioner kind.
+    code = run_solve(tmp_path, extra=extra)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(("flag", "value", "message"), [
+    ("--eps", "nan", "eps (the diffusion coefficient) must lie in (0, inf), got nan"),
+    ("--eps", "inf", "eps (the diffusion coefficient) must lie in (0, inf), got inf"),
+    ("--seed", "-1", "sketch_seed must be a non-negative integer, got -1"),
+], ids=["eps_nan", "eps_inf", "seed_negative"])
+def test_out_of_range_problem_and_seed_flags_exit_2(tmp_path, capsys, flag, value, message):
+    # nan and inf exited 2 naming "A_1 has non-finite entries"; seed -1 ran
+    # at this size, which draws no random numbers, and recorded the seed.
+    code = run_solve(tmp_path, extra=[flag, value])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_overflowing_right_hand_side_exits_2(tmp_path, capsys):
+    # This exited 2 with scipy's "array must not contain infs or NaNs".
+    manifest = save_manifest(overflowing_rhs_convdiff(), tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "the residual estimate of the initial guess is not finite" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -267,7 +307,7 @@ def test_manifest_with_singular_preconditioner_coefficient_exits_2(tmp_path, cap
                            C=rng.standard_normal((n, 1)), D=rng.standard_normal((n, 1)))
     manifest = save_manifest(eq, tmp_path / "eq")
     code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
-                 "--precond", "one-term", "--precond-index", "3",
+                 "--precond", "one-term", "--precond-terms", "3",
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "A_3 is singular" in capsys.readouterr().err

@@ -137,7 +137,6 @@ def test_truncate_output_orthonormal():
     rng = np.random.default_rng(9)
     m = random_lowrank(rng, 30, 30, 6)
     out = truncate(m, TruncationConfig(toltrank=1e-12, maxrank=6))
-    assert out.orthonormal
     r = out.rank
     assert np.linalg.norm(out.left.T @ out.left - np.eye(r)) <= 1e-10 * r
     assert np.linalg.norm(out.right.T @ out.right - np.eye(r)) <= 1e-10 * r
@@ -160,7 +159,6 @@ def test_norm_fro_of_tall_and_short_wide_factors(shape):
     m = LowRankMatrix(rng.standard_normal((n_rows, rank)) * np.geomspace(1, 1e-4, rank),
                       rng.standard_normal((rank, rank)),
                       rng.standard_normal((n_cols, rank)) * np.geomspace(1e-3, 1, rank))
-    assert not m.orthonormal
     assert m.norm_fro() == pytest.approx(np.linalg.norm(m.densify()), rel=1e-12)
 
 

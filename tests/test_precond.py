@@ -118,6 +118,18 @@ def test_wachspress_shifts_of_a_too_stiff_hull_raise(interval, hull):
     assert f"spectral hull {hull} (end ratio 1e+09) are not finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("t_adi", [1, 2, 3, 8, 20])
+def test_wachspress_shifts_pair_up_to_the_modulus_identity(t_adi):
+    # dn(u) dn(K - u) = k' = sqrt(1 - m) pairs shift j with shift t + 1 - j;
+    # the float64 evaluation must keep it near m = 1 too.
+    for ratio in np.geomspace(1.0, 1e8, 33):
+        lo, hi = 0.3, 0.3 * ratio
+        shifts = wachspress_shifts((lo, hi), (lo, hi), t_adi)
+        m = 1.0 - (lo / hi) ** 2
+        np.testing.assert_allclose(shifts * shifts[::-1],
+                                   np.full(t_adi, hi**2 * np.sqrt(1.0 - m)), rtol=1e-9)
+
+
 def test_analytic_laplacian_interval_matches_dense_eigenvalues():
     for n in (64, 254):
         t = dirichlet_laplacian(n, scale=0.37)

@@ -24,6 +24,7 @@ from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
     overflowing_convdiff,
+    overflowing_rhs_convdiff,
     poison_preconditioner,
     poison_step,
     random_lowrank,
@@ -452,6 +453,46 @@ def test_overflowing_projected_system_breaks_down(method):
     # The last finite iterate is the zero initial guess.
     assert x.is_zero
     assert rep.true_final_residual == pytest.approx(1.0)
+
+
+def test_overflowing_initial_residual_is_a_non_finite_estimate():
+    # The SVD of the overflowing core product raised scipy's bare
+    # "array must not contain infs or NaNs".
+    with pytest.raises(ValueError, match="residual estimate of the initial guess is not finite"):
+        solve(overflowing_rhs_convdiff(), SolverConfig())
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_sketch_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=f"sketch_seed must be a non-negative integer, got {seed}"):
+        SolverConfig(sketch_seed=seed)
+
+
+@pytest.mark.parametrize(("spec", "draws"), [
+    (PreconditionerSpec.none(), 0),
+    (PreconditionerSpec.one_term(0), 0),
+    (PreconditionerSpec.two_term_adi(shift_source="analytic_laplacian"), 1),
+], ids=["none", "one_term", "two_term_adi"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_range_finder_sample_is_drawn_only_for_output_wider_than_it(monkeypatch, method,
+                                                                   spec, draws):
+    # Every solve drew it once its 13 columns fit below both dimensions,
+    # whatever the preconditioner.
+    import mteq.solver
+
+    calls = []
+    sample = mteq.solver._range_finder_sample
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(mteq.solver, "_range_finder_sample", counted)
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=4), preconditioner=spec,
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=3))
+    solve(eq, cfg)
+    assert len(calls) == draws
 
 
 @pytest.mark.parametrize("terms", [(-1, 0), (9, 9), (0, 4)])
