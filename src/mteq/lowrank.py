@@ -136,11 +136,11 @@ class LowRankMatrix:
 
         The factors are compressed to the triangles of their skinny QR
         first, which avoids the cancellation a Gram-product evaluation would
-        suffer.
+        suffer; BLAS ``nrm2`` then scales the small product instead of squaring it.
         """
         rl = householder_qr(self.left)[0]
         rr = householder_qr(self.right)[0]
-        return float(np.linalg.norm(rl @ self.core @ rr.T))
+        return float(sla.norm((rl @ self.core @ rr.T).ravel(), check_finite=False))
 
 
 def select_rank(sigma: np.ndarray, cfg: TruncationConfig) -> int:

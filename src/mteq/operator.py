@@ -93,9 +93,8 @@ class MultitermEquation:
         return LowRankMatrix(self.C, np.eye(self.q), self.D)
 
     def rhs_norm(self) -> float:
-        """``||C @ D.T||_F`` from the small Gram matrices."""
-        g = (self.C.T @ self.C) @ (self.D.T @ self.D)
-        return float(np.sqrt(max(np.trace(g), 0.0)))
+        """``||C @ D.T||_F``, by :meth:`LowRankMatrix.norm_fro` of the factors."""
+        return self.rhs_lowrank().norm_fro()
 
 
 def _stack(mats, v: np.ndarray, n: int, out: np.ndarray | None) -> np.ndarray:

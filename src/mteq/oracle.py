@@ -51,63 +51,6 @@ def direct_solve(sys: KroneckerSystem) -> np.ndarray:
     return x.reshape((sys.n_A, sys.n_B), order="F")
 
 
-def vector_mr(sys: KroneckerSystem, tol: float = 1e-10, maxit: int = 500):
-    """Classical minimal-residual iteration ``x <- x + alpha r``.
-
-    Returns the final iterate and a history dict with the residual norms,
-    plus ``converged`` and ``breakdown`` flags.
-    """
-    a, b = sys.matrix, sys.b
-    x = np.zeros_like(b)
-    r = b - a @ x
-    norms = [float(np.linalg.norm(r))]
-    breakdown = False
-    converged = norms[-1] <= tol * np.linalg.norm(b)
-    for _ in range(maxit):
-        if converged:
-            break
-        w = a @ r
-        denom = float(w @ w)
-        if denom == 0.0:
-            breakdown = True
-            break
-        alpha = float(w @ r) / denom
-        x = x + alpha * r
-        r = r - alpha * w
-        norms.append(float(np.linalg.norm(r)))
-        converged = norms[-1] <= tol * np.linalg.norm(b)
-    return x, {"residuals": norms, "converged": converged, "breakdown": breakdown}
-
-
-def vector_orthomin1(sys: KroneckerSystem, tol: float = 1e-10, maxit: int = 500):
-    """Classical orthomin(1): direction recurrence ``p <- r + beta p``."""
-    a, b = sys.matrix, sys.b
-    x = np.zeros_like(b)
-    r = b - a @ x
-    p = r.copy()
-    norms = [float(np.linalg.norm(r))]
-    breakdown = False
-    converged = norms[-1] <= tol * np.linalg.norm(b)
-    for _ in range(maxit):
-        if converged:
-            break
-        ap = a @ p
-        denom = float(ap @ ap)
-        if denom == 0.0:
-            breakdown = True
-            break
-        alpha = float(ap @ r) / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        norms.append(float(np.linalg.norm(r)))
-        converged = norms[-1] <= tol * np.linalg.norm(b)
-        if converged:
-            break
-        beta = -float((a @ r) @ ap) / denom
-        p = r + beta * p
-    return x, {"residuals": norms, "converged": converged, "breakdown": breakdown}
-
-
 def spectral_quantities(sys: KroneckerSystem) -> tuple[float, float]:
     """Smallest eigenvalue of the symmetric part, and the spectral norm."""
     mu = float(sla.eigvalsh(0.5 * (sys.matrix + sys.matrix.T))[0])

@@ -278,9 +278,15 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
     info : dict
         ``path`` ("direct" or "pcg"), ``pcg_iters``, ``converged`` and
         ``regularized`` diagnostics.
+
+    PCG's inner products square the right-hand side's scale, so it runs on
+    ``rhs * 2**-e``, ``2**e`` just above ``||rhs||_F``, and scales the result
+    back; powers of two scale exactly, so nothing else changes.
     """
     if sys.path == "pcg":
-        return _solve_pcg(sys, rhs)
+        e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
+        coeff, info = _solve_pcg(sys, np.ldexp(rhs, -e))
+        return np.ldexp(coeff, e), info
     coeff = sys._inverse(rhs) if sys.q_k else np.zeros((0, 0))
     return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
                    "regularized": sys.regularized}

@@ -162,7 +162,8 @@ def sketched_residual_truncate(
     is ``K_l @ rho @ K_r.T``, ``K_l = F_l inv(R_A)``, ``K_r = F_r inv(R_B)``
     and ``rho = R_A @ mid @ R_B.T``; the compression kernel truncates the
     SVD of ``rho`` and maps only the kept vectors through ``K_l, K_r``. The
-    estimate is the spectrum norm of ``rho``, the sketched residual's norm.
+    estimate is the spectrum norm of ``rho``, the sketched residual's norm,
+    taken by BLAS ``nrm2`` so that it does not overflow before ``rho`` does.
     Without sketches this is the plain truncation of the factored residual
     (bit-identical, and the estimate is the exact norm).
 
@@ -172,4 +173,4 @@ def sketched_residual_truncate(
     m = residual_factored(eq, x)
     sides = (_sketched_side(m.left, s_a), _sketched_side(m.right, s_b))
     out, sigma = truncated_svd(m.left, m.core, m.right, cfg, sides=sides)
-    return out, float(np.linalg.norm(sigma))
+    return out, float(sla.norm(sigma, check_finite=False))

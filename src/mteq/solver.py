@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from ._blas import single_pool
 from .lowrank import OVERSAMPLING, LowRankMatrix, TruncationConfig, factored_sum, truncate
@@ -80,7 +81,8 @@ class SolveReport:
     monotone once truncation is active. ``sketch_dim`` is the sketch
     dimension ``s`` of the policy that chose ``sketch_mode``, and
     ``sketch_n_fft`` the transform length of the row and the column sketch,
-    ``None`` for a side that is not sketched.
+    ``None`` for a side that is not sketched. The exact residual of the
+    returned iterate is :func:`true_residual`'s.
     """
 
     method: str
@@ -94,7 +96,6 @@ class SolveReport:
     sketch_mode: str = "exact"
     sketch_dim: int = 0
     sketch_n_fft: tuple[int | None, int | None] = (None, None)
-    true_final_residual: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -113,26 +114,19 @@ class SolveReport:
 class IterationInfo:
     """Snapshot handed to a solve callback at the end of each iteration.
 
-    ``k`` is the zero-based index of the accepted step. ``Z`` is the
-    preconditioned residual as the recurrence uses it: truncated when it
-    was wider than ``R`` (through the range finder, so its factors are
-    orthonormal) or when it is the next direction itself, else as the
-    preconditioner returned it. ``Z``, ``P_next`` and ``beta`` are ``None``
-    on the converged iteration, which draws no next direction, and on one
-    whose preconditioner output was not finite; ``P_next`` and ``beta`` are
-    ``None`` on an iteration whose ``beta`` broke down, and ``beta`` is
-    also ``None`` for ``ss_mr``.
+    ``k`` is the zero-based index of the accepted step; ``X``, ``R`` and
+    ``residual_estimate`` describe the iterate after it. ``P`` is the
+    direction the step took and ``P_next`` the next one, ``None`` on an
+    iteration that draws no direction: the converged one, and one whose
+    preconditioner output or ``beta`` was not finite.
     """
 
     k: int
     X: LowRankMatrix
     R: LowRankMatrix
     P: LowRankMatrix
-    alpha: np.ndarray
     residual_estimate: float
-    Z: LowRankMatrix | None = None
     P_next: LowRankMatrix | None = None
-    beta: np.ndarray | None = None
 
 
 @contextmanager
@@ -183,7 +177,6 @@ def solve(
     cfg: SolverConfig,
     x0: LowRankMatrix | None = None,
     callback=None,
-    compute_true_residual: bool = False,
 ) -> tuple[LowRankMatrix, SolveReport]:
     """Run the selected short recurrence on ``eq``.
 
@@ -197,13 +190,11 @@ def solve(
     callback : callable, optional
         Called with an :class:`IterationInfo` at the end of every
         iteration; useful for convergence studies.
-    compute_true_residual : bool
-        Recompute the exact relative residual of the returned iterate
-        (one tall QR per side; off by default for large problems).
 
     Returns
     -------
     x : LowRankMatrix
+        The last iterate; ``true_residual(eq, x)`` is its exact relative residual.
     report : SolveReport
 
     Notes
@@ -283,8 +274,9 @@ def solve(
                 _break_down("step coefficient alpha", report)
                 break
 
-            core_scale = float(np.linalg.norm(x.core)) if not x.is_zero else 0.0
-            if np.linalg.norm(alpha) <= STALL_RTOL * core_scale:
+            # nrm2 scales instead of squaring: huge iterates must not read inf <= inf.
+            core_scale = sla.norm(x.core.ravel(), check_finite=False)
+            if sla.norm(alpha.ravel(), check_finite=False) <= STALL_RTOL * core_scale:
                 if redrawn:
                     warnings.warn(
                         "step coefficient vanished twice; stopping early",
@@ -321,7 +313,7 @@ def solve(
             report.iterations += 1
         report.residual_estimates.append(estimate)
 
-        z = p_next = beta = None
+        p_next = None
         if estimate <= cfg.tol * rhs_norm:
             report.status = "converged"
         else:
@@ -354,7 +346,7 @@ def solve(
                         p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
                 else:
                     _break_down("step coefficient beta", report)
-                    p_next = beta = None
+                    p_next = None
 
         # A pass that converged or broke down draws no direction: record
         # the one just used.
@@ -363,14 +355,12 @@ def solve(
             report.inner_pcg_iters.append(_pcg_entry(infos))
             if callback is not None:
                 callback(IterationInfo(
-                    k=report.iterations - 1, X=x, R=r, P=p, alpha=alpha,
-                    residual_estimate=estimate, Z=z, P_next=p_next, beta=beta,
+                    k=report.iterations - 1, X=x, R=r, P=p,
+                    residual_estimate=estimate, P_next=p_next,
                 ))
         if p_next is None:
             break
         p = p_next
 
     report.wall_times = times | {"total": time.perf_counter() - t_start}
-    if compute_true_residual:
-        report.true_final_residual = true_residual(eq, x)
     return x, report

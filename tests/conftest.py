@@ -97,11 +97,16 @@ def overflowing_convdiff(n=34):
     return MultitermEquation(terms=[(1e160 * a, b) for a, b in eq.terms], C=eq.C, D=eq.D)
 
 
+def scaled_rhs_convdiff(scale, n=34):
+    """Convdiff with ``C`` and ``D`` each scaled by ``scale``."""
+    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    return MultitermEquation(terms=eq.terms, C=scale * eq.C, D=scale * eq.D)
+
+
 def overflowing_rhs_convdiff(n=34):
     """Convdiff with ``C`` and ``D`` each scaled by 1e160: the factors stay
     finite, but the compressed core of the initial residual overflows."""
-    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
-    return MultitermEquation(terms=eq.terms, C=1e160 * eq.C, D=1e160 * eq.D)
+    return scaled_rhs_convdiff(1e160, n)
 
 
 def poison_preconditioner(monkeypatch, call):

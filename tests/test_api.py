@@ -2,12 +2,13 @@
 
 import argparse
 import ast
+import json
 import re
 import sys
 from pathlib import Path
 
 import mteq
-from mteq.cli import build_parser
+from mteq.cli import build_parser, main
 
 
 def test_all_names_resolve():
@@ -42,6 +43,34 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
     assert flags
     assert sorted(flags - _cli_options()) == []
+
+
+def _readme_report_keys() -> dict[tuple, list[str]]:
+    """Keys of each object in the README's ``report.json`` example, by the
+    path of keys that leads to it. The example elides values with ``...``,
+    so it is not JSON; only its quoted keys and its brackets are read."""
+    block = README.read_text().split("### report.json", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    keys, path, pending = {}, [], None
+    for token in re.finditer(r'"([^"]*)"(\s*:)?|[][{}]', block):
+        if token.group(2):
+            pending = token.group(1)
+            keys.setdefault(tuple(path), []).append(pending)
+        elif token.group(0) in ("{", "["):
+            path.append(pending)
+            pending = None
+        elif token.group(0) in ("}", "]"):
+            path.pop()
+    return keys
+
+
+def test_readme_report_example_has_the_written_keys(tmp_path):
+    assert main(["solve", "--n", "34", "--maxit", "3", "--out-dir", str(tmp_path)]) in (0, 3)
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys = _readme_report_keys()
+    assert keys[(None,)] == list(report)
+    assert keys[(None, "config")] == list(report["config"])
+    assert keys[(None, "result")] == list(report["result"])
 
 
 def test_third_party_imports_are_the_declared_dependencies():

@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from mteq import ConvDiffSpec, SolverConfig, TruncationConfig, _blas, build_convdiff, solve
+from mteq import (ConvDiffSpec, SolverConfig, TruncationConfig, _blas, build_convdiff, solve,
+                  true_residual)
 
 two_runtimes = pytest.mark.skipif(
     _blas._numpy_pool() is None,
@@ -46,7 +47,7 @@ def test_numpy_runs_one_thread_inside_solve(eq, numpy_threads):
     assert seen and set(seen) == {1}
     assert numpy_threads() == 2
     with _blas.single_pool():
-        solve(eq, CFG, compute_true_residual=True)
+        true_residual(eq, solve(eq, CFG)[0])
         assert numpy_threads() == 1  # a nested exit leaves the outer block's pool
     assert numpy_threads() == 2
 

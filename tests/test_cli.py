@@ -16,14 +16,17 @@ from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, Preconditio
 from mteq.cli import _build_config, build_parser, main
 
 from conftest import (overflowing_convdiff, overflowing_rhs_convdiff, poison_preconditioner,
-                      poison_step, vanish_first_steps)
+                      poison_step, scaled_rhs_convdiff, vanish_first_steps)
 
 
 def solve_argv(tmp_path, extra=()):
+    # --adi-iters goes only with the ADI preconditioner, unless extra names another.
+    kind = extra[extra.index("--precond") + 1] if "--precond" in extra else "two-term-adi"
+    adi_iters = ["--adi-iters", "4"] if kind == "two-term-adi" else []
     return [
         "solve", "--problem", "convdiff", "--n", "34", "--eps", "0.1",
         "--method", "ss-gcr1", "--maxrank", "20", "--tol", "1e-8",
-        "--toltrank", "1e-12", "--precond", "two-term-adi", "--adi-iters", "4",
+        "--toltrank", "1e-12", "--precond", "two-term-adi", *adi_iters,
         "--seed", "7", "--out-dir", str(tmp_path), *extra,
     ]
 
@@ -206,6 +209,20 @@ def test_precond_terms_of_the_wrong_count_exit_2(tmp_path, capsys, extra, messag
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(("extra", "message"), [
+    (["--precond", "one-term", "--adi-iters", "3"],
+     "--adi-iters 3: --precond one-term runs no ADI; only --precond two-term-adi takes it"),
+    (["--precond", "none", "--shift-source", "estimated"],
+     "--shift-source estimated: --precond none runs no ADI; only --precond two-term-adi takes it"),
+], ids=["one_term_adi_iters", "none_shift_source"])
+def test_adi_flags_without_adi_exit_2(tmp_path, capsys, extra, message):
+    # Both flags were ignored in silence under a kind that runs no ADI.
+    code = run_solve(tmp_path, extra=extra)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize(("flag", "value", "message"), [
     ("--eps", "nan", "eps (the diffusion coefficient) must lie in (0, inf), got nan"),
     ("--eps", "inf", "eps (the diffusion coefficient) must lie in (0, inf), got inf"),
@@ -218,6 +235,18 @@ def test_out_of_range_problem_and_seed_flags_exit_2(tmp_path, capsys, flag, valu
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_huge_right_hand_side_converges(tmp_path):
+    # ||C D^T|| is about 1e158: the Gram-trace norm of the right-hand side
+    # overflowed, and this exited 2 on a non-finite initial estimate.
+    manifest = save_manifest(scaled_rhs_convdiff(2.0**260), tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["status"] == "converged"
+    assert result["true_final_residual"] <= 1e-6
 
 
 def test_overflowing_right_hand_side_exits_2(tmp_path, capsys):

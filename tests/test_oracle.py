@@ -10,8 +10,6 @@ from mteq.oracle import (
     assemble_kron,
     direct_solve,
     spectral_quantities,
-    vector_mr,
-    vector_orthomin1,
 )
 
 from conftest import random_posdef_equation
@@ -65,40 +63,6 @@ def test_direct_solve_residual():
     x = direct_solve(sys)
     res = np.linalg.norm(sys.matrix @ x.flatten(order="F") - sys.b)
     assert res <= 1e-10 * np.linalg.norm(sys.b)
-
-
-def test_orthomin1_monotone_residuals_on_posdef():
-    rng = np.random.default_rng(5)
-    eq = random_posdef_equation(rng, 10, 10, 2, 1)
-    sys = assemble_kron(eq)
-    _, hist = vector_orthomin1(sys, tol=1e-8, maxit=300)
-    res = hist["residuals"]
-    assert hist["converged"]
-    assert all(res[k + 1] <= res[k] + 1e-14 for k in range(len(res) - 1))
-
-
-def test_mr_converges_on_posdef():
-    rng = np.random.default_rng(6)
-    eq = random_posdef_equation(rng, 10, 8, 2, 1)
-    sys = assemble_kron(eq)
-    x, hist = vector_mr(sys, tol=1e-8, maxit=500)
-    assert hist["converged"]
-    assert np.linalg.norm(sys.matrix @ x - sys.b) <= 1e-7 * np.linalg.norm(sys.b)
-
-
-def test_mr_contraction_bounded_by_elman_factor():
-    rng = np.random.default_rng(7)
-    pert = rng.standard_normal((50, 50))
-    pert *= 0.5 / np.linalg.norm(pert, 2)
-    a = np.diag(rng.uniform(1.0, 3.0, size=50)) + pert
-    sys = KroneckerSystem(a, rng.standard_normal(50), 50, 1)
-    mu, nrm = spectral_quantities(sys)
-    assert mu > 0
-    factor = np.sqrt(1.0 - (mu / nrm) ** 2)
-    _, hist = vector_mr(sys, tol=1e-12, maxit=60)
-    res = hist["residuals"]
-    for k in range(len(res) - 1):
-        assert res[k + 1] <= factor * res[k] + 1e-12
 
 
 def test_spectral_quantities_known_matrices():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mteq.reduced
 from mteq import (
     ConvDiffSpec,
     InnerSolveConfig,
@@ -29,6 +30,7 @@ from conftest import (
     poison_step,
     random_lowrank,
     random_posdef_equation,
+    scaled_rhs_convdiff,
     vanish_first_steps,
 )
 
@@ -347,7 +349,7 @@ def test_non_finite_step_coefficient_breaks_down(monkeypatch, method, call, coef
 
     poison_step(monkeypatch, call)
     with pytest.warns(RuntimeWarning, match=f"{coeff} is not finite") as caught:
-        x, rep = solve(eq, cfg, compute_true_residual=True)
+        x, rep = solve(eq, cfg)
     assert len(caught) == 1
     assert rep.status == "breakdown"
     assert not rep.converged
@@ -358,7 +360,7 @@ def test_non_finite_step_coefficient_breaks_down(monkeypatch, method, call, coef
     for got, want in zip((x.left, x.core, x.right),
                          (clean[0].left, clean[0].core, clean[0].right)):
         assert np.array_equal(got, want)
-    assert np.isfinite(rep.true_final_residual)
+    assert np.isfinite(true_residual(eq, x))
     assert np.isfinite(rep.residual_estimates).all()
 
 
@@ -379,16 +381,16 @@ def test_non_finite_preconditioner_output_breaks_down(monkeypatch, method, maxra
     poison_preconditioner(monkeypatch, 2)
     infos = []
     with pytest.warns(RuntimeWarning, match="preconditioned residual is not finite") as caught:
-        x, rep = solve(eq, cfg, callback=infos.append, compute_true_residual=True)
+        x, rep = solve(eq, cfg, callback=infos.append)
     assert len(caught) == 1
     assert rep.status == "breakdown"
     assert rep.iterations == 1
     assert len(rep.residual_estimates) == len(rep.ranks) == 2
-    assert len(infos) == 1 and infos[0].Z is None and infos[0].P_next is None
+    assert len(infos) == 1 and infos[0].P_next is None
     for got, want in zip((x.left, x.core, x.right),
                          (clean[0].left, clean[0].core, clean[0].right)):
         assert np.array_equal(got, want)
-    assert np.isfinite(rep.true_final_residual)
+    assert np.isfinite(true_residual(eq, x))
 
 
 @pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0)],
@@ -445,14 +447,14 @@ def test_overflowing_projected_system_breaks_down(method):
     # The Cholesky of the assembled system raised scipy's bare ValueError.
     eq = overflowing_convdiff()
     with pytest.warns(RuntimeWarning, match="projected Gram table is not finite"):
-        x, rep = solve(eq, SolverConfig(method=method), compute_true_residual=True)
+        x, rep = solve(eq, SolverConfig(method=method))
     assert rep.status == "breakdown"
     assert rep.iterations == 0
     assert len(rep.residual_estimates) == len(rep.ranks) == 1
     assert rep.inner_pcg_iters == []
     # The last finite iterate is the zero initial guess.
     assert x.is_zero
-    assert rep.true_final_residual == pytest.approx(1.0)
+    assert true_residual(eq, x) == pytest.approx(1.0)
 
 
 def test_overflowing_initial_residual_is_a_non_finite_estimate():
@@ -460,6 +462,37 @@ def test_overflowing_initial_residual_is_a_non_finite_estimate():
     # "array must not contain infs or NaNs".
     with pytest.raises(ValueError, match="residual estimate of the initial guess is not finite"):
         solve(overflowing_rhs_convdiff(), SolverConfig())
+
+
+@pytest.mark.parametrize("scale", [2.0**260, 2.0**400], ids=["2^260", "2^400"])
+@pytest.mark.parametrize("spec", [
+    PreconditionerSpec.none(),
+    PreconditionerSpec.two_term_adi(indices=(0, 1), t_adi=4, shift_source="analytic_laplacian"),
+], ids=["none", "two_term_adi"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_huge_right_hand_side_solves_like_the_unscaled_one(method, spec, scale):
+    # ||C D^T|| is about 1e158 at 2^260 and 1e241 at 2^400, every entry of
+    # it finite. Gram-trace and squaring norms overflowed at the initial
+    # estimate. LAPACK rescales such operands internally, so the last
+    # digits of the true residual may move.
+    cfg = SolverConfig(method=method, tol=1e-8, preconditioner=spec)
+    eq, big = scaled_rhs_convdiff(1.0), scaled_rhs_convdiff(scale)
+    x, rep = solve(eq, cfg)
+    x_big, rep_big = solve(big, cfg)
+    assert rep_big.converged
+    assert rep_big.iterations == rep.iterations
+    assert rep_big.ranks == rep.ranks
+    assert true_residual(big, x_big) == pytest.approx(true_residual(eq, x), rel=1e-4)
+
+
+def test_huge_right_hand_side_on_the_pcg_path_converges(monkeypatch):
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    eq = scaled_rhs_convdiff(2.0**260)
+    cfg = SolverConfig(tol=1e-8, inner=InnerSolveConfig(inner_precond_terms=(0, 1)))
+    x, rep = solve(eq, cfg)
+    assert rep.converged
+    assert all(entry is not None for entry in rep.inner_pcg_iters)
+    assert true_residual(eq, x) <= cfg.tol
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None])
@@ -526,11 +559,11 @@ def test_single_term_rank_one_solve_at_maxrank_one(method):
     cfg = SolverConfig(method=method, tol=1e-10, maxit=5,
                        truncation=TruncationConfig(toltrank=1e-14, maxrank=1),
                        preconditioner=PreconditionerSpec.one_term(0))
-    x, rep = solve(eq, cfg, compute_true_residual=True)
+    x, rep = solve(eq, cfg)
     assert rep.converged
     assert rep.iterations == 1
     assert all(max(ranks) <= 1 for ranks in rep.ranks)
-    assert rep.true_final_residual <= 1e-13
+    assert true_residual(eq, x) <= 1e-13
 
 
 def test_single_term_solve_matches_direct_solve():
