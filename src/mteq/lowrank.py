@@ -13,6 +13,7 @@ matrix first compresses a wide input to the range of a random sample of it
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class TruncationConfig:
     def __post_init__(self):
         if not 0.0 < self.toltrank < 1.0:
             raise ValueError(f"toltrank must lie in (0, 1), got {self.toltrank}")
-        if self.maxrank < 1:
-            raise ValueError(f"maxrank must be a positive integer, got {self.maxrank}")
+        if not isinstance(self.maxrank, numbers.Integral) or self.maxrank < 1:
+            raise ValueError(f"maxrank must be a positive integer, got {self.maxrank!r}")
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ cached sparse factorizations. A two-term preconditioner approximates the
 inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters (Jacobi
 elliptic functions from :mod:`scipy.special`) derived from spectral
-intervals of the two coefficients, closed-form or estimated
-by power iteration within a fixed budget (module constants, like the
-estimate's widening and seed). A symmetric positive definite tridiagonal
-coefficient is factored by LAPACK's LDL^T, any other by SuperLU.
+intervals of the two coefficients, closed-form or estimated: a Gershgorin
+bound at the end of largest magnitude, inverse power iteration within a
+fixed budget at the end nearest zero (module constants, like the estimate's
+widening and seed). A symmetric positive definite tridiagonal coefficient
+is factored by LAPACK's LDL^T, any other by SuperLU.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -61,8 +64,9 @@ class PreconditionerSpec:
             return
         if self.shift_source not in ("analytic_laplacian", "estimated"):
             raise ValueError(f"unknown shift source {self.shift_source!r}")
-        if self.t_adi is None or self.t_adi < 1:
-            raise ValueError(f"t_adi must be at least 1, got {self.t_adi}")
+        if not isinstance(self.t_adi, numbers.Integral) or self.t_adi < 1:
+            raise ValueError(f"t_adi must be at least 1 and a whole number of sweeps, "
+                             f"got {self.t_adi!r}")
 
     @classmethod
     def none(cls) -> "PreconditionerSpec":
@@ -153,11 +157,11 @@ def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
     return lo, hi
 
 
-#: Factor by which :func:`estimated_interval` widens each end of its interval.
+#: Factor by which :func:`estimated_interval` widens the end nearest zero.
 INFLATION = 1.05
-#: Seed of :func:`estimated_interval`'s start vectors.
+#: Seed of :func:`estimated_interval`'s start vector.
 START_SEED = 0
-#: Each power iteration stops once its Rayleigh quotient moves by at most
+#: The power iteration stops once its Rayleigh quotient moves by at most
 #: ``POWER_TOL`` relative to itself, or after ``POWER_ITERS`` steps.
 POWER_ITERS = 20
 POWER_TOL = 1e-2
@@ -182,13 +186,14 @@ def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
     diagonal pivots only (an LDL^T). By Sylvester's law of inertia the
     pivot signs are the eigenvalue signs, so a singular part, an
     off-diagonal pivot (which no definite matrix needs) or pivots of both
-    signs raise ``ValueError`` naming the coefficient as ``name``. Power
-    iteration, within the :data:`POWER_ITERS` and :data:`POWER_TOL`
-    budget, estimates the end of largest magnitude and, on the inverse
-    through the same factor, the end nearest zero. Both estimates lie in
-    the spectrum and are widened by :data:`INFLATION`, away from the
-    interior, which is not a guaranteed bracket. A negative definite part
-    gets the mirror image of its negation's interval.
+    signs raise ``ValueError`` naming the coefficient as ``name``. The end
+    of largest magnitude is the largest absolute row sum of the symmetric
+    part, a guaranteed bound (Gershgorin). The end nearest zero comes from
+    power iteration on the inverse through the same factor, within the
+    :data:`POWER_ITERS` and :data:`POWER_TOL` budget; that estimate lies
+    in the spectrum and is widened towards zero by :data:`INFLATION`, which
+    is not a guaranteed bracket. A negative definite part gets the mirror
+    image of its negation's interval.
     """
     n = matrix.shape[0]
     sym = sp.csc_matrix(0.5 * (matrix + matrix.T))
@@ -205,11 +210,10 @@ def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
             f"{label} is indefinite ({negative} negative and {n - negative} positive "
             f"pivots{', one off the diagonal' if off_diagonal else ''}); ADI needs a "
             "definite leading operator")
-    rng = np.random.default_rng(START_SEED)
-    v_far, v_near = (v / np.linalg.norm(v) for v in rng.standard_normal((2, n)))
-    far = _power_iteration(lambda v: sym @ v, v_far)
-    near = 1.0 / _power_iteration(lu.solve, v_near)
-    return tuple(sorted((near / INFLATION, far * INFLATION)))
+    v = np.random.default_rng(START_SEED).standard_normal(n)
+    near = 1.0 / _power_iteration(lu.solve, v / np.linalg.norm(v))
+    far = math.copysign(float(abs(sym).sum(axis=1).max()), near)
+    return tuple(sorted((near / INFLATION, far)))
 
 
 class _TridiagonalLDLt:

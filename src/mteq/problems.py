@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +42,9 @@ class ConvDiffSpec:
     eps: float
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("need at least 4 grid points per dimension")
+        if not isinstance(self.n, numbers.Integral) or self.n < 4:
+            raise ValueError(f"n (grid points per dimension) must be an integer of at "
+                             f"least 4, got {self.n!r}")
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps (the diffusion coefficient) must lie in (0, inf), "
                              f"got {self.eps}")

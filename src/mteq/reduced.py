@@ -8,9 +8,9 @@ coefficient operator has ``p**2`` terms built from small Gram blocks:
 
 Its vectorized coefficient matrix is symmetric positive (semi)definite, so
 small instances are solved by Cholesky on the assembled Kronecker sum and
-larger ones by matrix-form PCG that never assembles it. The path threshold
-and the PCG budget are module constants, read when a system is built or
-solved.
+larger ones by SciPy's preconditioned CG on the matrix-form action, which
+never assembles it. The path threshold and the PCG budget are module
+constants, read when a system is built or solved.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .lowrank import LowRankMatrix
 from .operator import MultitermEquation, apply_L, left_stack, right_stack
@@ -204,6 +205,12 @@ def beta_rhs(eq: MultitermEquation, p: LowRankMatrix, z: LowRankMatrix) -> np.nd
     return -alpha_rhs(eq, p, apply_L(eq, z))
 
 
+def _vectorized(apply, qk: int) -> spla.LinearOperator:
+    """A matrix-form map of ``q_k x q_k`` arrays as an operator on their row-major vectors."""
+    return spla.LinearOperator((qk * qk, qk * qk), dtype=float,
+                               matvec=lambda v: apply(v.reshape(qk, qk)).ravel())
+
+
 def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
     """Inverse of ``L_a coeff R_a + L_b coeff R_b``, two diagonal Gram pairs.
 
@@ -224,44 +231,6 @@ def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
     return apply
 
 
-def _solve_pcg(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
-    apply_m = sys._inverse or (lambda f: f)
-    x = np.zeros((sys.q_k, sys.q_k))
-    r = rhs.copy()
-    rhs_norm = float(np.linalg.norm(r))
-    if rhs_norm == 0.0:
-        return x, {"path": "pcg", "pcg_iters": 0, "converged": True,
-                   "regularized": False}
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    converged = False
-    iters = 0
-    for iters in range(1, PCG_MAXIT + 1):
-        w = sys.apply(p)
-        denom = float(np.sum(p * w))
-        if denom <= 0.0:
-            break
-        step = rz / denom
-        x = x + step * p
-        r = r - step * w
-        if np.linalg.norm(r) <= PCG_TOL * rhs_norm:
-            converged = True
-            break
-        z = apply_m(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if not converged:
-        warnings.warn(
-            f"inner PCG did not reach tol {PCG_TOL:.1e} within "
-            f"{PCG_MAXIT} iterations; returning the best iterate",
-            RuntimeWarning,
-        )
-    return x, {"path": "pcg", "pcg_iters": iters, "converged": converged,
-               "regularized": False}
-
-
 def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve the projected system for the ``q_k x q_k`` step coefficient.
 
@@ -279,14 +248,29 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
         ``path`` ("direct" or "pcg"), ``pcg_iters``, ``converged`` and
         ``regularized`` diagnostics.
 
-    PCG's inner products square the right-hand side's scale, so it runs on
+    The PCG path runs :func:`scipy.sparse.linalg.cg` on the vectorized
+    system, preconditioned by the inner preconditioner when there is one.
+    Its inner products square the right-hand side's scale, so it runs on
     ``rhs * 2**-e``, ``2**e`` just above ``||rhs||_F``, and scales the result
     back; powers of two scale exactly, so nothing else changes.
     """
-    if sys.path == "pcg":
-        e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
-        coeff, info = _solve_pcg(sys, np.ldexp(rhs, -e))
-        return np.ldexp(coeff, e), info
-    coeff = sys._inverse(rhs) if sys.q_k else np.zeros((0, 0))
-    return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
-                   "regularized": sys.regularized}
+    qk = sys.q_k
+    if sys.path == "direct":
+        coeff = sys._inverse(rhs) if qk else np.zeros((0, 0))
+        return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
+                       "regularized": sys.regularized}
+    e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
+    steps = []  # cg's callback appends its iterate once per step
+    coeff, status = spla.cg(
+        _vectorized(sys.apply, qk), np.ldexp(rhs, -e).ravel(), rtol=PCG_TOL,
+        maxiter=PCG_MAXIT, callback=steps.append,
+        M=None if sys._inverse is None else _vectorized(sys._inverse, qk))
+    if status:
+        warnings.warn(
+            f"inner PCG did not reach tol {PCG_TOL:.1e} within "
+            f"{PCG_MAXIT} iterations; returning the best iterate",
+            RuntimeWarning,
+        )
+    return np.ldexp(coeff.reshape(qk, qk), e), {
+        "path": "pcg", "pcg_iters": len(steps), "converged": status == 0,
+        "regularized": False}

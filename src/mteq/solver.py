@@ -56,8 +56,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.maxit < 1:
-            raise ValueError("maxit must be at least 1")
+        if not isinstance(self.maxit, numbers.Integral) or self.maxit < 1:
+            raise ValueError(f"maxit must be a positive integer, got {self.maxit!r}")
         if not isinstance(self.sketch_seed, numbers.Integral) or self.sketch_seed < 0:
             raise ValueError(
                 f"sketch_seed must be a non-negative integer, got {self.sketch_seed!r}")

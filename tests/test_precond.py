@@ -502,6 +502,15 @@ def test_estimated_interval_accepts_a_2d_stencil():
     stencil = (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)).tocsr()
     lam = np.linalg.eigvalsh(stencil.toarray())
     lo, hi = estimated_interval(stencil)
-    assert 0 < lo <= lam[0]
-    # Power iteration stops short of the top end: no guaranteed bracket.
-    assert 0.95 * lam[-1] <= hi
+    assert 0 < lo <= lam[0] and lam[-1] <= hi
+
+
+def test_estimated_interval_brackets_the_60x60_laplacian_at_default_budgets():
+    # The top end was a power-iterated Rayleigh quotient widened by 5%:
+    # 7.838, below the true 7.9947. It is now the largest absolute row sum.
+    n = 60
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    stencil = (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)).tocsr()
+    lam_1d = 4.0 * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+    lo, hi = estimated_interval(stencil)
+    assert 0 < lo <= 2 * lam_1d[0] and 2 * lam_1d[-1] <= hi == 8.0

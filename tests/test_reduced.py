@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import mteq.reduced
 from mteq import (
+    ConvDiffSpec,
     InnerSolveConfig,
     LowRankMatrix,
     MultitermEquation,
@@ -16,6 +17,7 @@ from mteq import (
     apply_L,
     apply_Lstar,
     beta_rhs,
+    build_convdiff,
     build_reduced,
     solve_reduced,
 )
@@ -292,6 +294,19 @@ def test_failed_inner_preconditioner_setup_runs_plain_cg(monkeypatch):
     coeff, info = solve_reduced(sys, rhs)
     assert info["path"] == "pcg" and info["converged"]
     assert np.array_equal(coeff, plain) and info["pcg_iters"] == info_plain["pcg_iters"]
+
+
+def test_pcg_that_runs_out_of_iterations_warns_and_reports_it(monkeypatch):
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    monkeypatch.setattr(mteq.reduced, "PCG_MAXIT", 2)
+    monkeypatch.setattr(mteq.reduced, "PCG_TOL", 1e-12)
+    rng = np.random.default_rng(22)
+    eq = build_convdiff(ConvDiffSpec(n=34, eps=0.1))
+    p = direction(orthonormal(rng, 32, 5), orthonormal(rng, 32, 5))
+    with pytest.warns(RuntimeWarning, match="inner PCG did not reach tol"):
+        coeff, info = solve_reduced(build_reduced(eq, p), rng.standard_normal((5, 5)))
+    assert info["path"] == "pcg" and not info["converged"] and info["pcg_iters"] == 2
+    assert np.isfinite(coeff).all()
 
 
 @pytest.mark.parametrize("side", ["left_grams", "right_grams"])
