@@ -196,8 +196,9 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     Returns the truncated matrix (diagonal core; orthonormal factors when
     both sides are exact) and the full singular-value vector of the
     compressed core, whose norm is then the norm of the input. Raises
-    :class:`NonFiniteError` when a factor or the compressed core product,
-    which can overflow on finite factors, holds inf or NaN.
+    :class:`NonFiniteError` when a factor, the compressed core product or
+    its singular values, which can overflow on finite factors, hold inf or
+    NaN.
     """
     n_rows, n_cols = left.shape[0], right.shape[0]
     if left.shape[1] == 0 or right.shape[1] == 0:
@@ -208,6 +209,8 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     if not np.isfinite(small).all():
         raise NonFiniteError("the compressed core product holds inf or NaN")
     u, sigma, vt = sla.svd(small, full_matrices=False)
+    if not np.isfinite(sigma).all():  # a finite product can have an overflowing norm
+        raise NonFiniteError("the singular values of the compressed core overflow")
     rank = select_rank(sigma, cfg)
     if rank == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), sigma

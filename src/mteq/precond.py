@@ -6,10 +6,10 @@ inverse of a Sylvester-form leading part ``X -> A X + X B`` by a fixed
 number of factored ADI iterations with Wachspress shift parameters (Jacobi
 elliptic functions from :mod:`scipy.special`) derived from spectral
 intervals of the two coefficients, closed-form or estimated: a Gershgorin
-bound at the end of largest magnitude, inverse power iteration within a
-fixed budget at the end nearest zero (module constants, like the estimate's
-widening and seed). A symmetric positive definite tridiagonal coefficient
-is factored by LAPACK's LDL^T, any other by SuperLU.
+bound at the end of largest magnitude, ARPACK's Lanczos on the inverse at
+the end nearest zero (widened by a module constant, from a seeded start).
+A symmetric positive definite tridiagonal coefficient is factored by
+LAPACK's LDL^T, any other by SuperLU.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -35,7 +34,7 @@ class PreconditionerSpec:
     """Selection of the preconditioning strategy.
 
     ``kind`` is one of ``"none"``, ``"one_term"`` or ``"two_term_adi"``.
-    ``indices`` holds zero-based term indices, as many as the kind uses:
+    ``indices`` holds zero-based integer term indices, as many as the kind uses:
     none for ``none``; for ``one_term`` the one term whose coefficient pair
     is inverted; for ``two_term_adi`` the pair of terms whose left/right
     coefficients form the Sylvester leading part. ``t_adi`` (the number of
@@ -55,9 +54,10 @@ class PreconditionerSpec:
         if arity is None:
             raise ValueError(f"unknown preconditioner kind {self.kind!r}")
         object.__setattr__(self, "indices", tuple(self.indices))
-        if len(self.indices) != arity:
-            raise ValueError(f"{self.kind} takes {arity} term indices, "
-                             f"got {self.indices}")
+        if len(self.indices) != arity or not all(
+                isinstance(i, numbers.Integral) for i in self.indices):
+            raise ValueError(f"{self.kind} takes {arity} term indices (integers), "
+                             f"got indices={self.indices!r}")
         if self.kind != "two_term_adi":
             if (self.t_adi, self.shift_source) != (None, None):
                 raise ValueError(f"{self.kind} takes no t_adi or shift_source")
@@ -159,24 +159,8 @@ def analytic_laplacian_interval(matrix, name: str = "A") -> tuple[float, float]:
 
 #: Factor by which :func:`estimated_interval` widens the end nearest zero.
 INFLATION = 1.05
-#: Seed of :func:`estimated_interval`'s start vector.
+#: Seed of the Lanczos start vector of :func:`estimated_interval`.
 START_SEED = 0
-#: The power iteration stops once its Rayleigh quotient moves by at most
-#: ``POWER_TOL`` relative to itself, or after ``POWER_ITERS`` steps.
-POWER_ITERS = 20
-POWER_TOL = 1e-2
-
-
-def _power_iteration(apply, v: np.ndarray) -> float:
-    """Rayleigh quotient of a nonsingular map after power iteration from the unit vector ``v``."""
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = apply(v)
-        lam, lam_prev = float(v @ w), lam
-        if lam_prev and abs(lam - lam_prev) <= POWER_TOL * abs(lam):
-            break
-        v = w / sla.norm(w)  # BLAS nrm2 scales: no overflow past 1e154
-    return lam
 
 
 def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
@@ -188,11 +172,10 @@ def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
     off-diagonal pivot (which no definite matrix needs) or pivots of both
     signs raise ``ValueError`` naming the coefficient as ``name``. The end
     of largest magnitude is the largest absolute row sum of the symmetric
-    part, a guaranteed bound (Gershgorin). The end nearest zero comes from
-    power iteration on the inverse through the same factor, within the
-    :data:`POWER_ITERS` and :data:`POWER_TOL` budget; that estimate lies
-    in the spectrum and is widened towards zero by :data:`INFLATION`, which
-    is not a guaranteed bracket. A negative definite part gets the mirror
+    part, a guaranteed bound (Gershgorin). The end nearest zero is ARPACK's
+    Lanczos (``eigsh``) on the inverse through the same factor, seeded by
+    :data:`START_SEED` and widened towards zero by :data:`INFLATION`, a
+    margin rather than a proof. A negative definite part gets the mirror
     image of its negation's interval.
     """
     n = matrix.shape[0]
@@ -210,8 +193,12 @@ def estimated_interval(matrix, name: str = "A") -> tuple[float, float]:
             f"{label} is indefinite ({negative} negative and {n - negative} positive "
             f"pivots{', one off the diagonal' if off_diagonal else ''}); ADI needs a "
             "definite leading operator")
-    v = np.random.default_rng(START_SEED).standard_normal(n)
-    near = 1.0 / _power_iteration(lu.solve, v / np.linalg.norm(v))
+    if n == 1:  # ARPACK needs more dimensions than eigenvalues sought
+        near = float(sym[0, 0])
+    else:
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        v0 = np.random.default_rng(START_SEED).standard_normal(n)
+        near = 1.0 / spla.eigsh(inverse, k=1, v0=v0, return_eigenvectors=False)[0]
     far = math.copysign(float(abs(sym).sum(axis=1).max()), near)
     return tuple(sorted((near / INFLATION, far)))
 

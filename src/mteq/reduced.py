@@ -15,6 +15,7 @@ constants, read when a system is built or solved.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -52,8 +53,9 @@ class InnerSolveConfig:
         if self.inner_precond_terms is not None:
             terms = tuple(self.inner_precond_terms)
             object.__setattr__(self, "inner_precond_terms", terms)
-            if len(terms) != 2:
-                raise ValueError(f"inner_precond_terms takes two term indices, got {terms}")
+            if len(terms) != 2 or not all(isinstance(t, numbers.Integral) for t in terms):
+                raise ValueError(
+                    f"inner_precond_terms takes two term indices (integers), got {terms!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class ReducedSystem:
     matrix, the PCG path builds the inner preconditioner of
     ``cfg.inner_precond_terms``. :func:`solve_reduced` then solves for any
     number of right-hand sides without further set-up. A non-finite Gram
-    table, from an overflowing operator image, raises
+    table, from an overflowing operator image, or a non-finite assembled
+    matrix, from finite tables whose products overflow, raises
     ``FloatingPointError`` before anything is factored.
     """
 
@@ -144,10 +147,12 @@ class ReducedSystem:
         """
         qk = self.q_k
         t = self.assemble()
+        if not np.isfinite(t).all():
+            raise FloatingPointError("assembled projected system is not finite")
         floor = 1e-14 * np.trace(t) / (qk * qk)
         try:
             # t is symmetric: LAPACK factors its Fortran-ordered view in place.
-            return partial(sla.cho_solve, sla.cho_factor(t.T, overwrite_a=True)), False
+            return _cholesky_solve(t.T, overwrite_a=True), False
         except np.linalg.LinAlgError:
             warnings.warn(
                 "projected coefficient matrix is numerically singular; "
@@ -157,11 +162,19 @@ class ReducedSystem:
         t = self.assemble()
         t[np.diag_indices_from(t)] += floor
         try:
-            return partial(sla.cho_solve, sla.cho_factor(t)), True
+            return _cholesky_solve(t), True
         except np.linalg.LinAlgError:
             lam, vecs = sla.eigh(t)
             lam = np.maximum(lam, floor)
             return (lambda b: vecs @ ((vecs.T @ b) / lam)), True
+
+
+def _cholesky_solve(t: np.ndarray, overwrite_a: bool = False):
+    """Solver of ``t``'s Cholesky factor. Neither step scans for inf or NaN:
+    ``t`` is checked once, and a non-finite right-hand side gives a
+    non-finite solution, which the caller checks."""
+    factor = sla.cho_factor(t, overwrite_a=overwrite_a, check_finite=False)
+    return partial(sla.cho_solve, factor, check_finite=False)
 
 
 def build_reduced(eq: MultitermEquation, p: LowRankMatrix,

@@ -69,8 +69,9 @@ class SolveReport:
 
     ``status`` is ``"converged"``, ``"maxit_reached"``, ``"stagnated"``
     (the step coefficient vanished again after a redraw) or
-    ``"breakdown"`` (a step coefficient, the residual estimate, a
-    projected Gram table or the preconditioner's output was not finite).
+    ``"breakdown"`` (a step coefficient, the residual estimate, the
+    projected system, an update or the preconditioner's output was not
+    finite).
     ``iterations`` counts accepted steps; a redraw is not one.
     ``residual_estimates`` and ``ranks`` carry one entry for the initial
     state plus one per iteration (``iterations + 1`` in total); the rank
@@ -165,10 +166,9 @@ def _range_finder_sample(seed: int, n_cols: int, width: int) -> np.ndarray:
     return rng.standard_normal((width, n_cols)).T
 
 
-def _break_down(what: str, report: SolveReport) -> None:
+def _break_down(reason: str, report: SolveReport) -> None:
     report.status = "breakdown"
-    warnings.warn(f"{what} is not finite; stopping at the last finite iterate",
-                  RuntimeWarning)
+    warnings.warn(f"{reason}; stopping at the last finite iterate", RuntimeWarning)
 
 
 @single_pool()
@@ -207,13 +207,13 @@ def solve(
     un-preconditioned residual; the redraw uses up a pass. A second
     vanishing step stops the solve with status ``"stagnated"``. A step
     coefficient ``alpha`` or ``beta``, a residual estimate, a projected
-    Gram table or a preconditioner output that is not finite stops it with
-    status ``"breakdown"`` and a ``RuntimeWarning``; the iterate returned
-    is the last one whose estimate was finite, and the report describes
-    that iterate. A ``ValueError`` is raised up front
-    when ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does
-    not have, and when the initial guess has a non-finite residual
-    estimate.
+    Gram table or assembled system, an updated iterate, a recombined
+    direction or a preconditioner output that is not finite stops it with
+    status ``"breakdown"`` and a ``RuntimeWarning`` that names it; the
+    iterate returned is the last one whose estimate was finite, and the
+    report describes that iterate. A ``ValueError`` is raised up front when
+    ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does not
+    have, and when the initial guess has a non-finite residual estimate.
 
     Preconditioner output wider than the residual is truncated by the
     range finder of :func:`mteq.lowrank.truncate`, with a Gaussian test
@@ -265,13 +265,13 @@ def solve(
             with _timer(times, "reduced"):
                 try:
                     sys = build_reduced(eq, p, cfg.inner)
-                except FloatingPointError:
-                    _break_down("projected Gram table", report)
+                except FloatingPointError as exc:  # its message names what overflowed
+                    _break_down(str(exc), report)
                     break
                 alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
             infos.append(info)
             if not np.isfinite(alpha).all():
-                _break_down("step coefficient alpha", report)
+                _break_down("step coefficient alpha is not finite", report)
                 break
 
             # nrm2 scales instead of squaring: huge iterates must not read inf <= inf.
@@ -295,7 +295,11 @@ def solve(
                 continue
 
             with _timer(times, "truncation"):
-                x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
+                try:
+                    x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
+                except FloatingPointError as exc:
+                    _break_down(f"updated iterate is not finite ({exc})", report)
+                    break
 
         with _timer(times, "sketch"):
             try:
@@ -306,7 +310,7 @@ def solve(
         if not math.isfinite(estimate):
             if k == 0:
                 raise ValueError("the residual estimate of the initial guess is not finite")
-            _break_down("residual estimate", report)
+            _break_down("residual estimate is not finite", report)
             break
         x, r = x_next, r_next
         if k > 0:
@@ -334,7 +338,7 @@ def solve(
                     try:
                         z = truncate(z, cfg.truncation, omega)
                     except FloatingPointError:
-                        _break_down("preconditioned residual", report)
+                        _break_down("preconditioned residual is not finite", report)
                         z = None
             p_next = z
             if recombine and z is not None:
@@ -343,9 +347,13 @@ def solve(
                 infos.append(info)
                 if np.isfinite(beta).all():
                     with _timer(times, "truncation"):
-                        p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
+                        try:
+                            p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
+                        except FloatingPointError as exc:
+                            _break_down(f"recombined direction is not finite ({exc})", report)
+                            p_next = None
                 else:
-                    _break_down("step coefficient beta", report)
+                    _break_down("step coefficient beta is not finite", report)
                     p_next = None
 
         # A pass that converged or broke down draws no direction: record

@@ -89,12 +89,35 @@ def poison_step(monkeypatch, call):
         monkeypatch, lambda k, coeff: np.full_like(coeff, np.nan) if k == call else coeff)
 
 
+def overflow_step(monkeypatch, call):
+    """Make the solver's ``call``-th projected solve (1-based) return a finite
+    coefficient whose every entry is 1.7e308, so the update it makes overflows."""
+    _patch_step_coefficients(
+        monkeypatch, lambda k, coeff: np.full_like(coeff, 1.7e308) if k == call else coeff)
+
+
 def overflowing_convdiff(n=34):
     """Convdiff with every ``A_i`` scaled by 1e160: the Gram products of the
     first direction's operator images overflow to inf, the right-hand side
     and the initial residual stay finite."""
     eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
     return MultitermEquation(terms=[(1e160 * a, b) for a, b in eq.terms], C=eq.C, D=eq.D)
+
+
+def overflowing_kron_convdiff(n=34):
+    """Convdiff with every ``A_i`` and ``B_i`` scaled by 1e80: the projected
+    Gram tables stay finite, their Kronecker products overflow."""
+    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    return MultitermEquation(terms=[(1e80 * a, 1e80 * b) for a, b in eq.terms],
+                             C=eq.C, D=eq.D)
+
+
+def overflowing_beta_convdiff(n=34):
+    """Convdiff with every ``A_i``, ``C`` and ``D`` scaled by 1e100: every
+    ``alpha`` stays finite, but the right-hand side of ``beta`` overflows."""
+    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    return MultitermEquation(terms=[(1e100 * a, b) for a, b in eq.terms],
+                             C=1e100 * eq.C, D=1e100 * eq.D)
 
 
 def scaled_rhs_convdiff(scale, n=34):

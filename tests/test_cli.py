@@ -15,7 +15,8 @@ from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, Preconditio
                   SolverConfig, TruncationConfig, build_convdiff, save_manifest)
 from mteq.cli import _build_config, build_parser, main
 
-from conftest import (overflowing_convdiff, overflowing_rhs_convdiff, poison_preconditioner,
+from conftest import (overflowing_beta_convdiff, overflowing_convdiff,
+                      overflowing_kron_convdiff, overflowing_rhs_convdiff, poison_preconditioner,
                       poison_step, scaled_rhs_convdiff, vanish_first_steps)
 
 
@@ -134,6 +135,23 @@ def test_overflowing_projected_system_exits_3_but_writes_report(tmp_path):
     assert (tmp_path / "history.csv").exists()
 
 
+@pytest.mark.parametrize(("build", "message", "iterations"), [
+    (overflowing_kron_convdiff, "assembled projected system is not finite", 0),
+    (overflowing_beta_convdiff, "step coefficient beta is not finite", 1),
+], ids=["kronecker-sum", "beta-rhs"])
+def test_overflowing_projected_solve_exits_3_but_writes_report(tmp_path, build, message,
+                                                               iterations):
+    # Both exited 2 with scipy's "array must not contain infs or NaNs".
+    manifest = save_manifest(build(), tmp_path / "eq")
+    with pytest.warns(RuntimeWarning, match=message):
+        code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path)])
+    assert code == 3
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert (result["status"], result["iterations"]) == ("breakdown", iterations)
+    assert np.isfinite(result["true_final_residual"])
+
+
 def test_non_finite_preconditioner_output_exits_3_but_writes_report(tmp_path, monkeypatch):
     # This exited 2 with scipy's "array must not contain infs or NaNs".
     poison_preconditioner(monkeypatch, 2)
@@ -206,6 +224,14 @@ def test_precond_terms_of_the_wrong_count_exit_2(tmp_path, capsys, extra, messag
     code = run_solve(tmp_path, extra=extra)
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_precond_terms_that_are_not_integers_exit_2(tmp_path, capsys):
+    code = run_solve(tmp_path, extra=["--precond-terms", "1,x"])
+    assert code == 2
+    assert "--precond-terms expects comma-separated integers, got '1,x'" \
+        in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

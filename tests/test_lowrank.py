@@ -11,6 +11,7 @@ from mteq import (
     factored_sum,
     truncate,
 )
+from mteq.lowrank import householder_qr
 
 from conftest import random_lowrank
 
@@ -167,3 +168,16 @@ def test_from_dense_round_trip():
     dense = rng.standard_normal((12, 7))
     m = LowRankMatrix.from_dense(dense)
     np.testing.assert_allclose(m.densify(), dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LowRankMatrix.zeros(7, 5),
+    lambda: LowRankMatrix.from_dense(np.zeros((7, 5))),
+], ids=["zeros", "from_dense-of-zero"])
+def test_zero_matrix_has_zero_width_factors_and_norm(build):
+    m = build()
+    assert m.is_zero and m.shape == (7, 5) and m.rank == 0
+    assert m.norm_fro() == 0.0
+    r, to_basis = householder_qr(m.left)
+    assert r.shape == (0, 0)
+    np.testing.assert_array_equal(to_basis(np.zeros((0, 2))), np.zeros((7, 2)))

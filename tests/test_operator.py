@@ -199,3 +199,14 @@ def test_shape_mismatch_raises():
     rng = np.random.default_rng(10)
     with pytest.raises(ShapeError):
         apply_L(eq, random_lowrank(rng, 9, 8, 2))
+
+
+@pytest.mark.parametrize(("a", "c", "message"), [
+    (sp.csr_matrix(np.ones((4, 3))), np.ones((4, 1)), r"A_1 must be square, got shape \(4, 3\)"),
+    (sp.identity(4, format="csr"), np.ones((5, 1)),
+     r"right-hand-side factors have shapes \(5, 1\), \(4, 1\); expected leading "
+     r"dimensions 4, 4"),
+], ids=["non-square-coefficient", "rhs-rows"])
+def test_nonconforming_equation_names_the_factor(a, c, message):
+    with pytest.raises(ShapeError, match=message):
+        MultitermEquation(terms=[(a, sp.identity(4, format="csr"))], C=c, D=np.ones((4, 1)))

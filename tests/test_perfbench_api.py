@@ -96,3 +96,26 @@ def test_traced_solve_runs_every_hook(harness, monkeypatch):
     assert adi_width > case.maxrank + mteq.lowrank.OVERSAMPLING
     assert any(s.attrs.get("in_cols") == adi_width for s in tracer.spans
                if s.name == "lowrank.truncate")
+
+
+def test_traced_solve_records_a_span_for_every_target(harness):
+    # A refactor that stops calling a traced binding would read as a zero
+    # per-layer metric in the benchmark: it fails here instead.
+    worker, tracing, workloads = harness
+    case = workloads.Case(n=34, eps=0.1, method="ss_gcr1", tol=1e-6, maxit=3, maxrank=3,
+                          residual_bound=1.0)
+    eq = mteq.build_convdiff(mteq.ConvDiffSpec(n=case.n, eps=case.eps))  # before install
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, mteq)
+    try:
+        mteq.solve(eq, worker._config(mteq, case, 7))
+    finally:
+        restore()
+    recorded = {span.name for span in tracer.spans}
+    # A name function names the span of a call on the path it traces: the
+    # sketched residual truncation, given a row sketch.
+    wanted = {name if isinstance(name, str) else name(eq, None, object())
+              for _, _, name, _ in tracing._TARGETS} - {"problems.build_convdiff"}
+    if recorded & {"reduced.solve_direct", "reduced.solve_pcg"}:
+        recorded.add("reduced.solve")  # the hook renames it by path
+    assert sorted(wanted - recorded) == []

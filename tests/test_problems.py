@@ -191,3 +191,30 @@ def test_rank_deficient_rhs_warns(tmp_path):
     manifest = save_manifest(eq, tmp_path / "eq")
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         load_manifest(manifest)
+
+
+def _unparseable(directory, data):
+    (directory / data["A"][0]).write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 3 1\nx y z\n")
+    return data
+
+
+@pytest.mark.parametrize(("corrupt", "message"), [
+    (_unparseable, r"A_1\.mtx: failed to parse: Line 3"),
+    (None, "invalid JSON"),
+    (lambda _, data: data | {"A": data["A"][:1]}, "expected 2 coefficient pairs, found 1 / 2"),
+    (lambda _, data: data | {"B": data["A"]}, r"A_1\.mtx: expected shape \(5, 5\), got \(4, 4\)"),
+    (lambda _, data: data | {"q": 3}, r"C has shape \(4, 2\), expected \(4, 3\)"),
+], ids=["unparseable-matrix", "invalid-json", "pair-count", "B-shape", "C-shape"])
+def test_malformed_manifest_names_what_is_wrong(tmp_path, corrupt, message):
+    rng = np.random.default_rng(3)
+    eq = MultitermEquation(
+        terms=[(sp.identity(4, format="csr"), sp.identity(5, format="csr"))] * 2,
+        C=rng.standard_normal((4, 2)), D=rng.standard_normal((5, 2)))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    if corrupt is None:
+        manifest.write_text("{not json")
+    else:
+        manifest.write_text(json.dumps(corrupt(manifest.parent, json.loads(manifest.read_text()))))
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(manifest)

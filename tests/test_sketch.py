@@ -219,3 +219,8 @@ def test_two_sided_recovers_constructed_low_rank_residual():
         hits_ratio += 0.5 <= est / true_norm <= 2.0
     assert hits_rank >= 190
     assert hits_ratio >= 190
+
+
+def test_sketch_rejects_an_operand_of_the_wrong_height():
+    with pytest.raises(ValueError, match="operand has 9 rows, sketch expects 10"):
+        make_sketch(10, 4, seed=0).apply(np.ones((9, 2)))

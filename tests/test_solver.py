@@ -24,7 +24,10 @@ from mteq import (
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
+    overflow_step,
+    overflowing_beta_convdiff,
     overflowing_convdiff,
+    overflowing_kron_convdiff,
     overflowing_rhs_convdiff,
     poison_preconditioner,
     poison_step,
@@ -464,6 +467,56 @@ def test_overflowing_initial_residual_is_a_non_finite_estimate():
         solve(overflowing_rhs_convdiff(), SolverConfig())
 
 
+@pytest.mark.parametrize("threshold", [mteq.reduced.DIRECT_THRESHOLD, 1], ids=["direct", "pcg"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_overflowing_assembled_system_breaks_down(monkeypatch, method, threshold):
+    # The Gram tables are finite, their Kronecker products are not: the
+    # direct path raised scipy's bare "array must not contain infs or NaNs".
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", threshold)
+    eq = overflowing_kron_convdiff()
+    message = "assembled projected system" if threshold > 1 else "step coefficient alpha"
+    with pytest.warns(RuntimeWarning, match=f"{message} is not finite"):
+        x, rep = solve(eq, SolverConfig(method=method, tol=1e-8, maxit=20))
+    assert (rep.status, rep.iterations) == ("breakdown", 0)
+    assert x.is_zero
+
+
+@pytest.mark.parametrize("threshold", [mteq.reduced.DIRECT_THRESHOLD, 1], ids=["direct", "pcg"])
+def test_overflowing_beta_right_hand_side_breaks_down(monkeypatch, threshold):
+    # The direct path's cho_solve raised scipy's bare "array must not
+    # contain infs or NaNs" on beta's right-hand side.
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", threshold)
+    eq = overflowing_beta_convdiff()
+    with pytest.warns(RuntimeWarning, match="step coefficient beta is not finite"):
+        x, rep = solve(eq, SolverConfig(method="ss_gcr1", tol=1e-8, maxit=20))
+    assert (rep.status, rep.iterations) == ("breakdown", 1)
+    assert np.isfinite(true_residual(eq, x))
+
+
+def test_overflowing_beta_equation_solves_under_ss_mr():
+    eq = overflowing_beta_convdiff()
+    x, rep = solve(eq, SolverConfig(method="ss_mr", tol=1e-8, maxit=20))
+    assert rep.converged
+    assert true_residual(eq, x) <= 1e-8
+
+
+@pytest.mark.parametrize(("method", "call", "message", "iterations"), [
+    ("ss_mr", 1, r"updated iterate is not finite \(the singular values", 0),
+    ("ss_mr", 2, r"updated iterate is not finite \(the compressed core product", 1),
+    ("ss_gcr1", 2, r"recombined direction is not finite \(the compressed core product", 1),
+], ids=["ss_mr-alpha1", "ss_mr-alpha2", "ss_gcr1-beta1"])
+def test_overflowing_update_breaks_down(monkeypatch, method, call, message, iterations):
+    # The second and third raised NonFiniteError out of solve. The first,
+    # whose update's singular values overflow, truncated X to zero in silence.
+    overflow_step(monkeypatch, call)
+    eq = build_convdiff(ConvDiffSpec(n=34, eps=0.1))
+    with pytest.warns(RuntimeWarning, match=message):
+        x, rep = solve(eq, SolverConfig(method=method, tol=1e-8, maxit=20))
+    assert (rep.status, rep.iterations) == ("breakdown", iterations)
+    assert len(rep.residual_estimates) == len(rep.ranks) == iterations + 1
+    assert np.isfinite(true_residual(eq, x))
+
+
 @pytest.mark.parametrize("scale", [2.0**260, 2.0**400], ids=["2^260", "2^400"])
 @pytest.mark.parametrize("spec", [
     PreconditionerSpec.none(),
@@ -511,6 +564,18 @@ def test_integer_counts_are_checked_at_construction(name, build):
     # Each constructed: maxit and maxrank then failed inside the solve with
     # a TypeError, and t_adi=2.5 ran 3 sweeps and reported converged.
     with pytest.raises(ValueError, match=rf"^{name}\b.*got \d+\.5$"):
+        build()
+
+
+@pytest.mark.parametrize(("field", "build"), [
+    ("one_term", lambda: PreconditionerSpec.one_term(1.5)),
+    ("two_term_adi", lambda: PreconditionerSpec.two_term_adi(indices=(0.0, 1.0))),
+    ("inner_precond_terms", lambda: InnerSolveConfig(inner_precond_terms=(0.5, 1))),
+], ids=["one_term", "two_term_adi", "inner_precond_terms"])
+def test_term_indices_must_be_integers(field, build):
+    # Each constructed: the solve then raised TypeError on the first two and,
+    # once a projected solve took the PCG path, IndexError on the third.
+    with pytest.raises(ValueError, match=rf"^{field} takes \w+ term indices \(integers\)"):
         build()
 
 
