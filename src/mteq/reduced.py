@@ -265,7 +265,10 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
     system, preconditioned by the inner preconditioner when there is one.
     Its inner products square the right-hand side's scale, so it runs on
     ``rhs * 2**-e``, ``2**e`` just above ``||rhs||_F``, and scales the result
-    back; powers of two scale exactly, so nothing else changes.
+    back; powers of two scale exactly, so nothing else changes. An iterate
+    holding inf or NaN, from a right-hand side or system action that
+    overflows, stops it at once with a ``FloatingPointError`` that names
+    the step.
     """
     qk = sys.q_k
     if sys.path == "direct":
@@ -273,10 +276,17 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
         return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
                        "regularized": sys.regularized}
     e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
-    steps = []  # cg's callback appends its iterate once per step
+    steps = 0
+
+    def step(iterate):  # cg calls it once per step
+        nonlocal steps
+        steps += 1
+        if not np.isfinite(iterate).all():
+            raise FloatingPointError(f"inner PCG iterate {steps} is not finite")
+
     coeff, status = spla.cg(
         _vectorized(sys.apply, qk), np.ldexp(rhs, -e).ravel(), rtol=PCG_TOL,
-        maxiter=PCG_MAXIT, callback=steps.append,
+        maxiter=PCG_MAXIT, callback=step,
         M=None if sys._inverse is None else _vectorized(sys._inverse, qk))
     if status:
         warnings.warn(
@@ -285,5 +295,5 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
             RuntimeWarning,
         )
     return np.ldexp(coeff.reshape(qk, qk), e), {
-        "path": "pcg", "pcg_iters": len(steps), "converged": status == 0,
+        "path": "pcg", "pcg_iters": steps, "converged": status == 0,
         "regularized": False}

@@ -11,14 +11,14 @@ residual norm over the current direction pair:
 
 All iterates stay in low-rank factored form with truncation after every
 update, and the stopping test uses a sketched estimate of the residual
-norm when the problem is large. Preconditioner output wider than the
-residual is compressed by a seeded range finder (see
-:func:`mteq.lowrank.truncate`); every other truncation is exact.
+norm when the problem is large, certified by the exact norm once it
+passes. Preconditioner output wider than the residual is compressed by a
+seeded range finder (see :func:`mteq.lowrank.truncate`); every other
+truncation is exact.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 import warnings
@@ -67,11 +67,12 @@ class SolverConfig:
 class SolveReport:
     """Per-solve diagnostics mirroring the usual benchmark columns.
 
-    ``status`` is ``"converged"``, ``"maxit_reached"``, ``"stagnated"``
-    (the step coefficient vanished again after a redraw) or
-    ``"breakdown"`` (a step coefficient, the residual estimate, the
-    projected system, an update or the preconditioner's output was not
-    finite).
+    ``status`` is ``"converged"`` (the residual norm is within ``tol``:
+    a sketched estimate that passes is certified by the exact norm),
+    ``"maxit_reached"``, ``"stagnated"`` (the step coefficient vanished
+    again after a redraw) or ``"breakdown"`` (a step coefficient, the
+    residual estimate, the projected system, an update or the
+    preconditioner's output was not finite).
     ``iterations`` counts accepted steps; a redraw is not one.
     ``residual_estimates`` and ``ranks`` carry one entry for the initial
     state plus one per iteration (``iterations + 1`` in total); the rank
@@ -118,8 +119,8 @@ class IterationInfo:
     ``k`` is the zero-based index of the accepted step; ``X``, ``R`` and
     ``residual_estimate`` describe the iterate after it. ``P`` is the
     direction the step took and ``P_next`` the next one, ``None`` on an
-    iteration that draws no direction: the converged one, and one whose
-    preconditioner output or ``beta`` was not finite.
+    iteration that draws no direction: the converged one, and one that
+    broke down while drawing it.
     """
 
     k: int
@@ -133,8 +134,25 @@ class IterationInfo:
 @contextmanager
 def _timer(times: dict, key: str):
     start = time.perf_counter()
-    yield
-    times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
+    try:
+        yield
+    finally:  # a stage that breaks down still counts
+        times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
+
+
+@contextmanager
+def _stage(what: str):
+    """Re-raise a ``FloatingPointError`` as ``"{what} is not finite (its message)"``."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        cause = f" ({exc})" if exc.args else ""
+        raise FloatingPointError(f"{what} is not finite{cause}") from exc
+
+
+def _require_finite(value) -> None:
+    if not np.isfinite(value).all():
+        raise FloatingPointError  # the enclosing _stage names it
 
 
 @single_pool()
@@ -172,6 +190,7 @@ def _break_down(reason: str, report: SolveReport) -> None:
 
 
 @single_pool()
+@np.errstate(over="ignore", invalid="ignore")  # every product is checked where it is used
 def solve(
     eq: MultitermEquation,
     cfg: SolverConfig,
@@ -199,10 +218,15 @@ def solve(
 
     Notes
     -----
-    The loop stops once the sketched residual-norm estimate falls below
+    The loop stops once the residual norm falls below
     ``cfg.tol * ||C D.T||_F`` or after ``cfg.maxit`` passes, whichever
     comes first; inner-solve trouble is reported through warnings but
-    never aborts the iteration. If a step coefficient vanishes relative to
+    never aborts the iteration. The test reads the residual-norm estimate,
+    which is exact when nothing is sketched. A sketched estimate is not a
+    certificate: one that passes is checked on the exact factored residual
+    (:func:`mteq.operator.residual_factored`), and if that fails the solve
+    warns with both relative values and goes on towards a target tightened
+    by their ratio. If a step coefficient vanishes relative to
     the accumulated core, the direction is redrawn once from the
     un-preconditioned residual; the redraw uses up a pass. A second
     vanishing step stops the solve with status ``"stagnated"``. A step
@@ -211,9 +235,15 @@ def solve(
     direction or a preconditioner output that is not finite stops it with
     status ``"breakdown"`` and a ``RuntimeWarning`` that names it; the
     iterate returned is the last one whose estimate was finite, and the
-    report describes that iterate. A ``ValueError`` is raised up front when
-    ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does not
-    have, and when the initial guess has a non-finite residual estimate.
+    report describes that iterate. A breakdown while taking a step leaves
+    that pass out of the report; one while drawing the next direction
+    records the pass, with ``P_next`` ``None``. Every such value is checked
+    where it is used, so numpy's overflow and invalid-value warnings are
+    off for the whole call, ``callback`` included, and only the
+    breakdown's own warning reaches the caller. A ``ValueError`` is raised
+    up front when ``cfg.inner.inner_precond_terms`` names a term that
+    ``eq`` does not have, and when the initial guess has a non-finite
+    residual estimate.
 
     Preconditioner output wider than the residual is truncated by the
     range finder of :func:`mteq.lowrank.truncate`, with a Gaussian test
@@ -257,104 +287,103 @@ def solve(
     # Pass 0 has no direction yet: it only evaluates the initial residual
     # and draws the first direction. Each later pass takes one step.
     p = LowRankMatrix.zeros(eq.n_A, eq.n_B)
-    redrawn = False
+    redrawn, target = False, cfg.tol * rhs_norm
     for k in range(cfg.maxit + 1):
         infos: list[dict] = []
-        x_next = x
-        if k > 0:
-            with _timer(times, "reduced"):
-                try:
-                    sys = build_reduced(eq, p, cfg.inner)
-                except FloatingPointError as exc:  # its message names what overflowed
-                    _break_down(str(exc), report)
-                    break
-                alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
-            infos.append(info)
-            if not np.isfinite(alpha).all():
-                _break_down("step coefficient alpha is not finite", report)
-                break
+        try:  # the step: a breakdown leaves the pass unrecorded
+            x_next = x
+            if k > 0:
+                with _timer(times, "reduced"):
+                    sys = build_reduced(eq, p, cfg.inner)  # its errors name themselves
+                    with _stage("step coefficient alpha"):
+                        alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
+                        infos.append(info)
+                        _require_finite(alpha)
 
-            # nrm2 scales instead of squaring: huge iterates must not read inf <= inf.
-            core_scale = sla.norm(x.core.ravel(), check_finite=False)
-            if sla.norm(alpha.ravel(), check_finite=False) <= STALL_RTOL * core_scale:
-                if redrawn:
+                # nrm2 scales instead of squaring: huge iterates must not read inf <= inf.
+                core_scale = sla.norm(x.core.ravel(), check_finite=False)
+                if sla.norm(alpha.ravel(), check_finite=False) <= STALL_RTOL * core_scale:
+                    if redrawn:
+                        warnings.warn(
+                            "step coefficient vanished twice; stopping early",
+                            RuntimeWarning,
+                        )
+                        report.status = "stagnated"
+                        break
+                    redrawn = True
                     warnings.warn(
-                        "step coefficient vanished twice; stopping early",
+                        "step coefficient vanished; redrawing the direction from "
+                        "the un-preconditioned residual",
                         RuntimeWarning,
                     )
-                    report.status = "stagnated"
-                    break
-                redrawn = True
-                warnings.warn(
-                    "step coefficient vanished; redrawing the direction from "
-                    "the un-preconditioned residual",
-                    RuntimeWarning,
-                )
-                with _timer(times, "truncation"):
-                    p = truncate(r, cfg.truncation)
-                continue
+                    with _timer(times, "truncation"):
+                        p = truncate(r, cfg.truncation)
+                    continue
 
-            with _timer(times, "truncation"):
-                try:
+                with _timer(times, "truncation"), _stage("updated iterate"):
                     x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
-                except FloatingPointError as exc:
-                    _break_down(f"updated iterate is not finite ({exc})", report)
-                    break
 
-        with _timer(times, "sketch"):
-            try:
+            with _timer(times, "sketch"), _stage("residual estimate"):
                 r_next, estimate = sketched_residual_truncate(
                     eq, x_next, s_a, s_b, cfg.truncation)
-            except FloatingPointError:
-                r_next, estimate = None, math.nan
-        if not math.isfinite(estimate):
+                _require_finite(estimate)
+        except FloatingPointError as exc:
             if k == 0:
-                raise ValueError("the residual estimate of the initial guess is not finite")
-            _break_down("residual estimate is not finite", report)
+                raise ValueError(
+                    "the residual estimate of the initial guess is not finite") from exc
+            _break_down(str(exc), report)
             break
         x, r = x_next, r_next
         if k > 0:
             report.iterations += 1
         report.residual_estimates.append(estimate)
 
+        # A sketched estimate is not a certificate: one that passes is checked
+        # on the exact residual, and a false pass tightens the target by the
+        # ratio the estimate was off.
+        converged = estimate <= target
+        if converged and s_a is not None:
+            with _timer(times, "sketch"):
+                exact = residual_factored(eq, x).norm_fro()
+            converged = exact <= cfg.tol * rhs_norm
+            if not converged:
+                warnings.warn(
+                    f"residual estimate {estimate / rhs_norm:.3e} passed tol but the true "
+                    f"residual {exact / rhs_norm:.3e} did not; tightening the target",
+                    RuntimeWarning,
+                )
+                target = cfg.tol * rhs_norm * estimate / exact
+
         p_next = None
-        if estimate <= cfg.tol * rhs_norm:
+        if converged:
             report.status = "converged"
         else:
-            with _timer(times, "precondition"):
-                z = precond.apply(r)
-            # ss_gcr1 recombines z with the direction just used; otherwise z
-            # is the next direction. Output wider than r (ADI's is t_adi
-            # times as wide) is truncated either way, through the range
-            # finder: r's rank is at most maxrank, so narrower output always
-            # falls back to the exact kernel.
-            recombine = cfg.method == "ss_gcr1" and k > 0
-            if z.rank > r.rank or not recombine:
-                # Draw the sample at the first output it would compress: one
-                # wider than the sample, which fits below both dimensions.
-                if omega is None and sample_cols < min(z.rank, *z.shape):
-                    omega = _range_finder_sample(cfg.sketch_seed, eq.n_B, sample_cols)
-                with _timer(times, "truncation"):
-                    try:
+            try:  # the direction: a breakdown records the pass, drawing none
+                with _timer(times, "precondition"):
+                    z = precond.apply(r)
+                # ss_gcr1 recombines z with the direction just used; otherwise z
+                # is the next direction. Output wider than r (ADI's is t_adi
+                # times as wide) is truncated either way, through the range
+                # finder: r's rank is at most maxrank, so narrower output always
+                # falls back to the exact kernel.
+                recombine = cfg.method == "ss_gcr1" and k > 0
+                if z.rank > r.rank or not recombine:
+                    # Draw the sample at the first output it would compress: one
+                    # wider than the sample, which fits below both dimensions.
+                    if omega is None and sample_cols < min(z.rank, *z.shape):
+                        omega = _range_finder_sample(cfg.sketch_seed, eq.n_B, sample_cols)
+                    with _timer(times, "truncation"), _stage("preconditioned residual"):
                         z = truncate(z, cfg.truncation, omega)
-                    except FloatingPointError:
-                        _break_down("preconditioned residual is not finite", report)
-                        z = None
-            p_next = z
-            if recombine and z is not None:
-                with _timer(times, "reduced"):
-                    beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
-                infos.append(info)
-                if np.isfinite(beta).all():
-                    with _timer(times, "truncation"):
-                        try:
-                            p_next = truncate(factored_sum(z, p, beta), cfg.truncation)
-                        except FloatingPointError as exc:
-                            _break_down(f"recombined direction is not finite ({exc})", report)
-                            p_next = None
-                else:
-                    _break_down("step coefficient beta is not finite", report)
-                    p_next = None
+                if recombine:
+                    with _timer(times, "reduced"), _stage("step coefficient beta"):
+                        beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
+                        infos.append(info)
+                        _require_finite(beta)
+                    with _timer(times, "truncation"), _stage("recombined direction"):
+                        z = truncate(factored_sum(z, p, beta), cfg.truncation)
+                p_next = z
+            except FloatingPointError as exc:
+                _break_down(str(exc), report)
 
         # A pass that converged or broke down draws no direction: record
         # the one just used.

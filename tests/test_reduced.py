@@ -309,6 +309,20 @@ def test_pcg_that_runs_out_of_iterations_warns_and_reports_it(monkeypatch):
     assert np.isfinite(coeff).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pcg_stops_at_its_first_non_finite_iterate(monkeypatch, bad):
+    # It ran all PCG_MAXIT iterations on NaN, warned that it missed its
+    # tolerance and returned the NaN coefficient.
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    rng = np.random.default_rng(22)
+    eq = build_convdiff(ConvDiffSpec(n=34, eps=0.1))
+    p = direction(orthonormal(rng, 32, 5), orthonormal(rng, 32, 5))
+    rhs = rng.standard_normal((5, 5))
+    rhs[2, 3] = bad
+    with pytest.raises(FloatingPointError, match=r"^inner PCG iterate 1 is not finite$"):
+        solve_reduced(build_reduced(eq, p), rhs)
+
+
 @pytest.mark.parametrize("side", ["left_grams", "right_grams"])
 def test_non_finite_gram_table_raises_before_factoring(monkeypatch, side):
     rng = np.random.default_rng(21)

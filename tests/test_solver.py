@@ -21,6 +21,7 @@ from mteq import (
     solve,
     true_residual,
 )
+from mteq.operator import residual_factored
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
@@ -396,6 +397,28 @@ def test_non_finite_preconditioner_output_breaks_down(monkeypatch, method, maxra
     assert np.isfinite(true_residual(eq, x))
 
 
+@pytest.mark.parametrize("maxrank", [20, 60], ids=["range_finder", "exact_fallback"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_non_finite_preconditioner_output_in_pass_0_breaks_down(monkeypatch, method,
+                                                                maxrank):
+    # The first direction is never drawn: the pass that evaluated the
+    # initial residual is recorded, and no step is taken.
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=10),
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=maxrank))
+    poison_preconditioner(monkeypatch, 1)
+    infos = []
+    with pytest.warns(RuntimeWarning, match="preconditioned residual is not finite") as caught:
+        x, rep = solve(eq, cfg, callback=infos.append)
+    assert len(caught) == 1
+    assert (rep.status, rep.iterations) == ("breakdown", 0)
+    assert len(rep.residual_estimates) == 1
+    assert rep.ranks == [(0, 2, 0)]
+    assert rep.inner_pcg_iters == []
+    assert infos == []
+    assert x.is_zero
+
+
 @pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0)],
                          ids=["none", "one_term"])
 @pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
@@ -493,6 +516,46 @@ def test_overflowing_beta_right_hand_side_breaks_down(monkeypatch, threshold):
     assert np.isfinite(true_residual(eq, x))
 
 
+@pytest.mark.parametrize("threshold", [mteq.reduced.DIRECT_THRESHOLD, 1], ids=["direct", "pcg"])
+@pytest.mark.parametrize(("build", "method", "message"), [
+    (overflowing_convdiff, "ss_mr", "projected Gram table"),
+    (overflowing_kron_convdiff, "ss_mr", None),
+    (overflowing_beta_convdiff, "ss_gcr1", "step coefficient beta"),
+], ids=["gram", "kronecker-sum", "beta-rhs"])
+def test_overflow_breakdown_warns_once(monkeypatch, build, method, message, threshold):
+    # numpy's "overflow encountered in matmul", and on the PCG path its
+    # "invalid value" and inner PCG's missed tolerance, came next to the
+    # warning that names the breakdown.
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", threshold)
+    if message is None:
+        message = "assembled projected system" if threshold > 1 else "step coefficient alpha"
+    with pytest.warns(RuntimeWarning) as caught:
+        solve(build(), SolverConfig(method=method, tol=1e-8, maxit=20))
+    assert [str(w.message).split(" is not finite")[0] for w in caught] == [message]
+
+
+@pytest.mark.parametrize(("build", "method", "coeff"), [
+    (overflowing_kron_convdiff, "ss_mr", "alpha"),
+    (overflowing_beta_convdiff, "ss_gcr1", "beta"),
+], ids=["kronecker-sum", "beta-rhs"])
+def test_overflowing_pcg_projected_solve_stops_at_its_first_step(monkeypatch, build,
+                                                                 method, coeff):
+    # Inner PCG ran all PCG_MAXIT (200) iterations on NaN first.
+    monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
+    with pytest.warns(RuntimeWarning, match=rf"^step coefficient {coeff} is not finite "
+                                            r"\(inner PCG iterate 1 is not finite\)"):
+        _, rep = solve(build(), SolverConfig(method=method, tol=1e-8, maxit=20))
+    assert rep.status == "breakdown"
+    assert all(entry is None or entry[1] < 200 for entry in rep.inner_pcg_iters)
+
+
+def test_a_stage_that_breaks_down_still_counts_its_time():
+    # build_reduced raises inside the "reduced" timer.
+    with pytest.warns(RuntimeWarning, match="assembled projected system is not finite"):
+        _, rep = solve(overflowing_kron_convdiff(), SolverConfig(method="ss_mr", maxit=20))
+    assert rep.wall_times["reduced"] > 0
+
+
 def test_overflowing_beta_equation_solves_under_ss_mr():
     eq = overflowing_beta_convdiff()
     x, rep = solve(eq, SolverConfig(method="ss_mr", tol=1e-8, maxit=20))
@@ -579,14 +642,46 @@ def test_term_indices_must_be_integers(field, build):
         build()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the solve stops on the sketched "
-                   "estimate alone and does not certify it with the true residual")
 def test_converged_solve_meets_tol_on_its_true_residual():
     # The estimate reads 9.766e-7 after 2 iterations; the true residual is 1.041e-6.
     eq = build_convdiff(ConvDiffSpec(n=512, eps=0.1))
     cfg = dataclasses.replace(convdiff_config("ss_mr", maxit=50), sketch_seed=3)
     x, rep = solve(eq, cfg)
     assert not rep.converged or true_residual(eq, x) <= cfg.tol
+
+
+def test_sketched_stop_is_certified_by_the_true_residual():
+    # The false stop above: the estimate passes at iteration 2, the true
+    # residual does not, and the solve goes on to a tightened target.
+    eq = build_convdiff(ConvDiffSpec(n=512, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config("ss_mr", maxit=50), sketch_seed=3)
+    with pytest.warns(RuntimeWarning, match=r"^residual estimate 9\.766e-07 passed tol but "
+                                            r"the true residual 1\.041e-06 did not") as caught:
+        x, rep = solve(eq, cfg)
+    assert len(caught) == 1
+    assert rep.sketch_mode == "two_sided"
+    assert (rep.status, rep.iterations) == ("converged", 3)
+    assert true_residual(eq, x) <= cfg.tol
+
+
+@pytest.mark.parametrize(("n", "mode", "checks"), [(64, "exact", 0), (512, "two_sided", 1)])
+def test_only_a_sketched_estimate_is_certified(monkeypatch, n, mode, checks):
+    # An exact estimate is its own certificate; a sketched one that passes
+    # costs one exact residual norm.
+    import mteq.solver
+
+    calls = []
+
+    def counted(eq, x):
+        calls.append(x)
+        return residual_factored(eq, x)
+
+    monkeypatch.setattr(mteq.solver, "residual_factored", counted)
+    eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    x, rep = solve(eq, convdiff_config("ss_gcr1", maxit=50))
+    assert (rep.sketch_mode, rep.status) == (mode, "converged")
+    assert len(calls) == checks
+    assert all(got is x for got in calls)
 
 
 @pytest.mark.parametrize(("spec", "draws"), [
