@@ -43,9 +43,9 @@ from .reduced import (
 )
 from .sketch import (
     SketchOperator,
-    SketchPolicy,
     make_sketch,
     sketched_residual_truncate,
+    sketches,
 )
 from .solver import (
     IterationInfo,
@@ -70,7 +70,6 @@ __all__ = [
     "ReducedSystem",
     "ShapeError",
     "SketchOperator",
-    "SketchPolicy",
     "SolveReport",
     "SolverConfig",
     "TruncationConfig",
@@ -88,6 +87,7 @@ __all__ = [
     "residual_factored",
     "save_manifest",
     "sketched_residual_truncate",
+    "sketches",
     "solve",
     "solve_reduced",
     "truncate",

@@ -244,6 +244,7 @@ def _sylvester_inverse(sys: ReducedSystem, terms: tuple[int, int]):
     return apply
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are checked, not warned
 def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve the projected system for the ``q_k x q_k`` step coefficient.
 
@@ -268,7 +269,9 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
     back; powers of two scale exactly, so nothing else changes. An iterate
     holding inf or NaN, from a right-hand side or system action that
     overflows, stops it at once with a ``FloatingPointError`` that names
-    the step.
+    the step. numpy's overflow and invalid-value warnings are off for the
+    call, as they are in :func:`mteq.solver.solve`: that error names a
+    non-finite iterate, and the caller checks the coefficient.
     """
     qk = sys.q_k
     if sys.path == "direct":

@@ -95,41 +95,22 @@ def make_sketch(n: int, s: int, seed: int) -> SketchOperator:
     return SketchOperator(n=n, s=s, n_fft=n_fft, sign_flips=signs, row_subset=rows)
 
 
-@dataclass(frozen=True)
-class SketchPolicy:
-    """Which residual sides get sketched, and at what dimension.
+def sketches(
+    eq: MultitermEquation, maxrank: int, seed: int
+) -> tuple[str, int, SketchOperator | None, SketchOperator | None]:
+    """``(mode, s, s_a, s_b)``: the residual sketches of ``eq``, ``None`` where unused.
 
-    ``s = 2 (p * maxrank + q)``; the residual norm in the stopping test is
-    computed exactly when both dimensions are below ``s``, through a
-    left-side sketch when only the row dimension is large, and through a
-    two-sided sketch when both are.
+    ``s = 2 (p * maxrank + q)``. The row side is sketched from ``seed`` when
+    ``n_A >= s``; the column side from ``seed + 1`` when the row side is and
+    ``n_B >= s``, since with a small row dimension the plain QR path is
+    already cheap. ``mode`` is ``"exact"``, ``"left_only"`` or
+    ``"two_sided"`` accordingly.
     """
-
-    mode: str
-    s: int
-
-    @classmethod
-    def from_dimensions(
-        cls, n_a: int, n_b: int, p: int, q: int, maxrank: int
-    ) -> "SketchPolicy":
-        s = 2 * (p * maxrank + q)
-        if n_a >= s and n_b >= s:
-            mode = "two_sided"
-        elif n_a >= s > n_b:
-            mode = "left_only"
-        else:
-            # Covers n_a < s <= n_b as well: with a small row dimension the
-            # plain QR path is already cheap.
-            mode = "exact"
-        return cls(mode=mode, s=s)
-
-    def operators(
-        self, n_a: int, n_b: int, seed: int
-    ) -> tuple[SketchOperator | None, SketchOperator | None]:
-        """Draw the sketch pair demanded by the mode (None where unused)."""
-        s_a = make_sketch(n_a, self.s, seed) if self.mode != "exact" else None
-        s_b = make_sketch(n_b, self.s, seed + 1) if self.mode == "two_sided" else None
-        return s_a, s_b
+    s = 2 * (eq.p * maxrank + eq.q)
+    s_a = make_sketch(eq.n_A, s, seed) if eq.n_A >= s else None
+    s_b = make_sketch(eq.n_B, s, seed + 1) if s_a is not None and eq.n_B >= s else None
+    mode = "exact" if s_a is None else "left_only" if s_b is None else "two_sided"
+    return mode, s, s_a, s_b
 
 
 def _sketched_side(f: np.ndarray, sketch: SketchOperator | None) -> tuple | None:
@@ -154,7 +135,7 @@ def sketched_residual_truncate(
     s_a: SketchOperator | None,
     s_b: SketchOperator | None,
     cfg: TruncationConfig,
-) -> tuple[LowRankMatrix, float]:
+) -> tuple[LowRankMatrix, float, LowRankMatrix]:
     """Truncated factored residual of ``x`` and its Frobenius-norm estimate.
 
     A sketched side is reduced by the skinny QR of the *sketched* factor in
@@ -167,10 +148,12 @@ def sketched_residual_truncate(
     Without sketches this is the plain truncation of the factored residual
     (bit-identical, and the estimate is the exact norm).
 
-    Returns the truncated residual and the norm estimate. A numerically
-    zero residual gives the canonical zero matrix and estimate ``0.0``.
+    Returns the truncated residual, the norm estimate and the factored
+    residual it came from (:func:`mteq.operator.residual_factored`'s, left
+    as built). A numerically zero residual gives the canonical zero matrix
+    and estimate ``0.0``.
     """
     m = residual_factored(eq, x)
     sides = (_sketched_side(m.left, s_a), _sketched_side(m.right, s_b))
     out, sigma = truncated_svd(m.left, m.core, m.right, cfg, sides=sides)
-    return out, float(sla.norm(sigma, check_finite=False))
+    return out, float(sla.norm(sigma, check_finite=False)), m

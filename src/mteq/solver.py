@@ -33,7 +33,7 @@ from .lowrank import OVERSAMPLING, LowRankMatrix, TruncationConfig, factored_sum
 from .operator import MultitermEquation, residual_factored
 from .precond import PreconditionerSpec, build_preconditioner
 from .reduced import InnerSolveConfig, alpha_rhs, beta_rhs, build_reduced, solve_reduced
-from .sketch import SketchPolicy, sketched_residual_truncate
+from .sketch import sketched_residual_truncate, sketches
 
 #: Relative stagnation threshold on the step coefficient.
 STALL_RTOL = 1e-16
@@ -80,8 +80,8 @@ class SolveReport:
     ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
     iteration: ``(min, max)`` over that iteration's projected solves when
     the iterative path ran, else ``None``. Estimates are not guaranteed
-    monotone once truncation is active. ``sketch_dim`` is the sketch
-    dimension ``s`` of the policy that chose ``sketch_mode``, and
+    monotone once truncation is active. ``sketch_dim`` is the dimension
+    ``s`` by which :func:`mteq.sketch.sketches` chose ``sketch_mode``, and
     ``sketch_n_fft`` the transform length of the row and the column sketch,
     ``None`` for a side that is not sketched. The exact residual of the
     returned iterate is :func:`true_residual`'s.
@@ -223,8 +223,9 @@ def solve(
     comes first; inner-solve trouble is reported through warnings but
     never aborts the iteration. The test reads the residual-norm estimate,
     which is exact when nothing is sketched. A sketched estimate is not a
-    certificate: one that passes is checked on the exact factored residual
-    (:func:`mteq.operator.residual_factored`), and if that fails the solve
+    certificate: one that passes is checked on the exact norm of the
+    factored residual it was taken from, which the estimate stage returns
+    and which is released before preconditioning. If that fails the solve
     warns with both relative values and goes on towards a target tightened
     by their ratio. If a step coefficient vanishes relative to
     the accumulated core, the direction is redrawn once from the
@@ -271,12 +272,8 @@ def solve(
     rhs_norm = eq.rhs_norm()
     report.rhs_norm = rhs_norm
 
-    policy = SketchPolicy.from_dimensions(
-        eq.n_A, eq.n_B, eq.p, eq.q, cfg.truncation.maxrank
-    )
-    s_a, s_b = policy.operators(eq.n_A, eq.n_B, cfg.sketch_seed)
-    report.sketch_mode = policy.mode
-    report.sketch_dim = policy.s
+    report.sketch_mode, report.sketch_dim, s_a, s_b = sketches(
+        eq, cfg.truncation.maxrank, cfg.sketch_seed)
     report.sketch_n_fft = tuple(None if op is None else op.n_fft for op in (s_a, s_b))
 
     sample_cols, omega = cfg.truncation.maxrank + OVERSAMPLING, None
@@ -324,7 +321,7 @@ def solve(
                     x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
 
             with _timer(times, "sketch"), _stage("residual estimate"):
-                r_next, estimate = sketched_residual_truncate(
+                r_next, estimate, residual = sketched_residual_truncate(
                     eq, x_next, s_a, s_b, cfg.truncation)
                 _require_finite(estimate)
         except FloatingPointError as exc:
@@ -344,7 +341,7 @@ def solve(
         converged = estimate <= target
         if converged and s_a is not None:
             with _timer(times, "sketch"):
-                exact = residual_factored(eq, x).norm_fro()
+                exact = residual.norm_fro()
             converged = exact <= cfg.tol * rhs_norm
             if not converged:
                 warnings.warn(
@@ -353,6 +350,7 @@ def solve(
                     RuntimeWarning,
                 )
                 target = cfg.tol * rhs_norm * estimate / exact
+        del residual  # 2 n (q + p rank X) floats: not held while preconditioning
 
         p_next = None
         if converged:

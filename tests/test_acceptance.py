@@ -228,10 +228,10 @@ def test_criterion_6_sketch_statistics():
     for seed in range(200):
         s_a = make_sketch(n, s_dim, seed=seed)
         s_b = make_sketch(n, s_dim, seed=seed + 100_000)
-        _, est = sketched_residual_truncate(eq, x, s_a, s_b, cfg)
+        _, est, _ = sketched_residual_truncate(eq, x, s_a, s_b, cfg)
         hits += 0.5 <= est / true_norm <= 2.0
 
-    exact_out, _ = sketched_residual_truncate(eq, x, None, None, cfg)
+    exact_out, _, _ = sketched_residual_truncate(eq, x, None, None, cfg)
     ref = truncate(residual_factored(eq, x), cfg)
     bit_identical = (
         np.array_equal(exact_out.left, ref.left)

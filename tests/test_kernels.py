@@ -269,8 +269,8 @@ def test_full_size_sketch_matches_exact_residual_truncation():
                            D=rng.standard_normal((n, 2)))
     x = LowRankMatrix(rng.standard_normal((n, 3)), np.eye(3), rng.standard_normal((n, 3)))
     cfg = TruncationConfig(toltrank=1e-10, maxrank=8)
-    exact, est = sketched_residual_truncate(eq, x, None, None, cfg)
-    sketched, est_s = sketched_residual_truncate(
+    exact, est, _ = sketched_residual_truncate(eq, x, None, None, cfg)
+    sketched, est_s, _ = sketched_residual_truncate(
         eq, x, make_sketch(n, n, seed=1), make_sketch(n, n, seed=2), cfg)
     assert sketched.rank == exact.rank
     assert est_s == pytest.approx(est, rel=1e-12)

@@ -1,5 +1,7 @@
 """Sketch operators and sketched residual truncation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,12 +10,13 @@ from scipy.fft import dct
 from mteq import (
     LowRankMatrix,
     MultitermEquation,
-    SketchPolicy,
+    SketchOperator,
     TruncationConfig,
     apply_L,
     make_sketch,
     residual_factored,
     sketched_residual_truncate,
+    sketches,
     truncate,
 )
 from mteq.oracle import assemble_kron, direct_solve
@@ -113,20 +116,32 @@ def test_fast_length_sketch_is_the_unpadded_draw(n):
 
 
 def test_policy_mode_selection():
-    # s = 2 (p maxrank + q) = 2 (2*10 + 2) = 44
-    assert SketchPolicy.from_dimensions(100, 100, 2, 2, 10).mode == "two_sided"
-    assert SketchPolicy.from_dimensions(100, 30, 2, 2, 10).mode == "left_only"
-    assert SketchPolicy.from_dimensions(30, 30, 2, 2, 10).mode == "exact"
-    assert SketchPolicy.from_dimensions(30, 100, 2, 2, 10).mode == "exact"
-    assert SketchPolicy.from_dimensions(100, 100, 2, 2, 10).s == 44
+    # s = 2 (p maxrank + q) = 2 (2*10 + 2) = 44. The row sketch is drawn
+    # from the seed and the column sketch from seed + 1: every sketched
+    # iterate depends on those two streams.
+    def same(got, want):
+        return all(np.array_equal(getattr(got, f.name), getattr(want, f.name))
+                   for f in dataclasses.fields(SketchOperator))
+
+    for (n_a, n_b), want in {(100, 100): "two_sided", (100, 30): "left_only",
+                             (30, 30): "exact", (30, 100): "exact"}.items():
+        eye_a, eye_b = sp.identity(n_a, format="csr"), sp.identity(n_b, format="csr")
+        eq = MultitermEquation(terms=[(eye_a, eye_b)] * 2, C=np.zeros((n_a, 2)),
+                               D=np.zeros((n_b, 2)))
+        mode, s, s_a, s_b = sketches(eq, 10, seed=5)
+        assert (mode, s) == (want, 44)
+        assert (s_a is None) == (mode == "exact")
+        assert (s_b is None) == (mode != "two_sided")
+        assert s_a is None or same(s_a, make_sketch(n_a, 44, seed=5))
+        assert s_b is None or same(s_b, make_sketch(n_b, 44, seed=6))
 
 
 def test_exact_mode_estimate_is_true_norm():
     rng = np.random.default_rng(4)
     eq = random_posdef_equation(rng, 15, 12, 2, 2)
     x = random_lowrank(rng, 15, 12, 3)
-    _, est = sketched_residual_truncate(eq, x, None, None,
-                                        TruncationConfig(maxrank=30))
+    _, est, _ = sketched_residual_truncate(eq, x, None, None,
+                                           TruncationConfig(maxrank=30))
     true = np.linalg.norm(eq.C @ eq.D.T - apply_L(eq, x).densify())
     assert est == pytest.approx(true, rel=1e-12)
 
@@ -136,7 +151,7 @@ def test_exact_mode_bit_identical_to_plain_truncation():
     eq = random_posdef_equation(rng, 15, 12, 2, 2)
     x = random_lowrank(rng, 15, 12, 3)
     cfg = TruncationConfig(maxrank=4)
-    out, _ = sketched_residual_truncate(eq, x, None, None, cfg)
+    out, _, _ = sketched_residual_truncate(eq, x, None, None, cfg)
     ref = truncate(residual_factored(eq, x), cfg)
     assert np.array_equal(out.left, ref.left)
     assert np.array_equal(out.core, ref.core)
@@ -147,7 +162,7 @@ def test_estimate_small_at_exact_solution():
     rng = np.random.default_rng(6)
     eq = random_posdef_equation(rng, 12, 10, 2, 2)
     x = LowRankMatrix.from_dense(direct_solve(assemble_kron(eq)))
-    _, est = sketched_residual_truncate(eq, x, None, None, TruncationConfig())
+    _, est, _ = sketched_residual_truncate(eq, x, None, None, TruncationConfig())
     assert est <= 1e-8 * eq.rhs_norm()
 
 
@@ -156,7 +171,7 @@ def test_exact_zero_residual_gives_zero():
     eye = sp.identity(n, format="csr")
     eq = MultitermEquation(terms=[(eye, eye)], C=np.zeros((n, 1)),
                            D=np.zeros((n, 1)))
-    out, est = sketched_residual_truncate(
+    out, est, _ = sketched_residual_truncate(
         eq, LowRankMatrix.zeros(n, n), None, None, TruncationConfig()
     )
     assert out.is_zero
@@ -181,7 +196,7 @@ def test_left_only_mode_close_to_optimal_truncation():
     hits = 0
     for seed in range(100):
         s_a = make_sketch(n_a, 44, seed=seed)
-        out, _ = sketched_residual_truncate(eq, x, s_a, None, cfg)
+        out, _, _ = sketched_residual_truncate(eq, x, s_a, None, cfg)
         err = np.linalg.norm(r_dense - out.densify())
         hits += err <= 2.0 * err_best
     assert hits >= 95
@@ -214,7 +229,7 @@ def test_two_sided_recovers_constructed_low_rank_residual():
     for seed in range(200):
         s_a = make_sketch(n, s_dim, seed=seed)
         s_b = make_sketch(n, s_dim, seed=seed + 100_000)
-        out, est = sketched_residual_truncate(eq, x, s_a, s_b, cfg)
+        out, est, _ = sketched_residual_truncate(eq, x, s_a, s_b, cfg)
         hits_rank += out.rank == 5
         hits_ratio += 0.5 <= est / true_norm <= 2.0
     assert hits_rank >= 190

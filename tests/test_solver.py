@@ -450,9 +450,9 @@ def test_non_finite_estimate_breaks_down_at_the_last_finite_iterate(monkeypatch)
     calls = []
 
     def patched(*args):
-        r, estimate = sketched_residual_truncate(*args)
+        r, estimate, residual = sketched_residual_truncate(*args)
         calls.append(estimate)
-        return r, (np.nan if len(calls) == 2 else estimate)
+        return r, (np.nan if len(calls) == 2 else estimate), residual
 
     monkeypatch.setattr(mteq.solver, "sketched_residual_truncate", patched)
     with pytest.warns(RuntimeWarning, match="residual estimate is not finite"):
@@ -646,7 +646,8 @@ def test_converged_solve_meets_tol_on_its_true_residual():
     # The estimate reads 9.766e-7 after 2 iterations; the true residual is 1.041e-6.
     eq = build_convdiff(ConvDiffSpec(n=512, eps=0.1))
     cfg = dataclasses.replace(convdiff_config("ss_mr", maxit=50), sketch_seed=3)
-    x, rep = solve(eq, cfg)
+    with pytest.warns(RuntimeWarning, match="passed tol but the true residual"):
+        x, rep = solve(eq, cfg)
     assert not rep.converged or true_residual(eq, x) <= cfg.tol
 
 
@@ -666,22 +667,67 @@ def test_sketched_stop_is_certified_by_the_true_residual():
 
 @pytest.mark.parametrize(("n", "mode", "checks"), [(64, "exact", 0), (512, "two_sided", 1)])
 def test_only_a_sketched_estimate_is_certified(monkeypatch, n, mode, checks):
-    # An exact estimate is its own certificate; a sketched one that passes
-    # costs one exact residual norm.
+    # Each pass builds one factored residual. An exact estimate is its own
+    # certificate; a sketched one that passes costs one exact norm, of the
+    # residual its estimate came from, never a residual built again.
+    import mteq.sketch
     import mteq.solver
 
-    calls = []
+    calls, built, norms = [], [], []
+    norm_fro = LowRankMatrix.norm_fro
 
     def counted(eq, x):
         calls.append(x)
-        return residual_factored(eq, x)
+        built.append(residual_factored(eq, x))
+        return built[-1]
 
-    monkeypatch.setattr(mteq.solver, "residual_factored", counted)
+    def counted_norm(m):
+        norms.append(m)
+        return norm_fro(m)
+
     eq = build_convdiff(ConvDiffSpec(n=n, eps=0.1))
+    monkeypatch.setattr(mteq.sketch, "residual_factored", counted)
+    monkeypatch.setattr(mteq.solver, "residual_factored", counted)
+    monkeypatch.setattr(LowRankMatrix, "norm_fro", counted_norm)
     x, rep = solve(eq, convdiff_config("ss_gcr1", maxit=50))
     assert (rep.sketch_mode, rep.status) == (mode, "converged")
-    assert len(calls) == checks
-    assert all(got is x for got in calls)
+    assert len(calls) == rep.iterations + 1
+    assert calls[-1] is x
+    # rhs_norm, then the certificate of the last residual.
+    assert len(norms) == 1 + checks
+    assert all(got is want for got, want in zip(norms[1:], built[-1:]))
+
+
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_the_factored_residual_is_released_before_preconditioning(monkeypatch, method):
+    # The residual stage's factored residual holds 2 n (q + p rank X)
+    # floats; the certificate reads it, and no preconditioner runs beside it.
+    import weakref
+
+    import mteq.solver
+    from mteq.precond import TwoTermAdiPreconditioner
+
+    stage, apply = mteq.solver.sketched_residual_truncate, TwoTermAdiPreconditioner.apply
+    built, alive = [], []
+
+    def kept(*args):
+        out = stage(*args)
+        built.append(weakref.ref(out[2]))
+        return out
+
+    def checked(self, r):
+        alive.append(sum(ref() is not None for ref in built))
+        return apply(self, r)
+
+    monkeypatch.setattr(mteq.solver, "sketched_residual_truncate", kept)
+    monkeypatch.setattr(TwoTermAdiPreconditioner, "apply", checked)
+    eq = build_convdiff(ConvDiffSpec(n=512, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=4),
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=20))
+    _, rep = solve(eq, cfg)
+    assert rep.sketch_mode == "two_sided"
+    assert len(built) == rep.iterations + 1 and len(alive) >= 4
+    assert alive == [0] * len(alive)
 
 
 @pytest.mark.parametrize(("spec", "draws"), [
