@@ -5,15 +5,17 @@ never formed densely unless it is small enough. All operations return new
 objects; instances are treated as immutable and are safe to share.
 Every truncation runs one compression kernel, :func:`truncated_svd`. Each
 exact side of it is one Householder QR, :func:`householder_qr`, whose tall
-orthonormal basis is applied, never formed. :func:`truncate` given a test
-matrix first compresses a wide input to the range of a random sample of it
+orthonormal basis is applied, never formed. :func:`truncate` given a
+sampler first compresses a wide input to the range of a random sample of it
 (the range finder of Halko, Martinsson & Tropp 2011, Algorithms 4.1 and
-5.1), so the kernel then works at the sample's width.
+5.1), so the kernel then works at the sample's width; :func:`gaussian_sample`
+is the seeded test matrix a solve samples with.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,19 +220,28 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     return out, sigma
 
 
+def gaussian_sample(seed: int, n_cols: int, width: int) -> np.ndarray:
+    """The range finder's Gaussian test matrix, ``n_cols x width`` and
+    Fortran-ordered, drawn from ``seed`` on a stream neither sketch uses."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return rng.standard_normal((width, n_cols)).T
+
+
 def truncate(m: LowRankMatrix, cfg: TruncationConfig,
-             omega: np.ndarray | None = None) -> LowRankMatrix:
+             sample: Callable[[int, int], np.ndarray] | None = None) -> LowRankMatrix:
     """Rank-truncate a factored matrix.
 
-    Without ``omega`` this is the exact compression kernel: the Frobenius
+    Without ``sample`` this is the exact compression kernel: the Frobenius
     truncation error equals the norm of the discarded singular values. A
     numerically zero input yields the canonical zero matrix.
 
-    ``omega`` is an ``n_cols x l`` test matrix, typically Gaussian with
-    ``l = cfg.maxrank + OVERSAMPLING`` columns. When ``l`` is below the
-    input's width and both its dimensions, the input ``Z = L C R^T`` is
-    first compressed to the range of its sample ``Y = Z omega``: ``Q``
-    from the QR of ``Y`` and ``B^T = R (C^T (L^T Q))`` give
+    ``sample(n_cols, l)`` returns an ``n_cols x l`` test matrix ``omega``,
+    typically :func:`gaussian_sample` with its seed bound, and ``truncate``
+    alone picks ``l = cfg.maxrank + OVERSAMPLING``. It calls ``sample`` at
+    most once, and only when ``l`` is below the input's width and both its
+    dimensions; otherwise the exact kernel runs. The input ``Z = L C R^T``
+    is then first compressed to the range of its sample ``Y = Z omega``:
+    ``Q`` from the QR of ``Y`` and ``B^T = R (C^T (L^T Q))`` give
     ``Z ~ Q B``, and the kernel truncates ``Q B`` with ``Q`` as an exact
     side. That costs ``O(n width l)`` instead of ``O(n width^2)``; the
     extra error is that of the sample's range, small when the spectrum
@@ -240,9 +251,11 @@ def truncate(m: LowRankMatrix, cfg: TruncationConfig,
     A non-finite input raises :class:`NonFiniteError`; the range finder
     finds it in ``Y`` and never scans the factors.
     """
-    if omega is None or omega.shape[1] >= min(*m.core.shape, *m.shape):
+    width = cfg.maxrank + OVERSAMPLING
+    if sample is None or width >= min(*m.core.shape, *m.shape):
         return truncated_svd(m.left, m.core, m.right, cfg)[0]
-    eye = np.eye(omega.shape[1])
+    eye = np.eye(width)
+    omega = sample(m.shape[1], width)
     y = dgemm(1.0, m.left, m.core @ dgemm(1.0, m.right, omega, trans_a=1))
     q = householder_qr(y)[1](eye)
     bt = dgemm(1.0, m.right, m.core.T @ dgemm(1.0, m.left, q, trans_a=1))

@@ -261,23 +261,19 @@ class OneTermPreconditioner:
 
     Factor-wise: the left factor is solved with ``A``, the right factor
     with ``B.T``, and the core is unchanged, so the rank is preserved. Both
-    factorizations are made once, at construction. A side whose coefficient
-    is exactly the identity is not factorized, and its factor passes through
-    untouched. A singular coefficient raises ``ValueError`` naming it by
-    ``names``.
+    factorizations are made once, at construction. An identity side goes
+    through its LDL^T like any other, which returns its factor unchanged.
+    A singular coefficient raises ``ValueError`` naming it by ``names``.
     """
 
     def __init__(self, a, b, names: tuple[str, str] = ("A", "B")):
-        self._lu_a = None if _identity_deviation(a) == 0.0 else _factor(a, names[0])
-        self._lu_bt = None if _identity_deviation(b) == 0.0 \
-            else _factor(b.T, f"{names[1]}^T")
+        self._lu_a = _factor(a, names[0])
+        self._lu_bt = _factor(b.T, f"{names[1]}^T")
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
         if r.is_zero:
             return r
-        left = self._lu_a.solve(r.left) if self._lu_a is not None else r.left
-        right = self._lu_bt.solve(r.right) if self._lu_bt is not None else r.right
-        return LowRankMatrix(left, r.core, right)
+        return LowRankMatrix(self._lu_a.solve(r.left), r.core, self._lu_bt.solve(r.right))
 
 
 class TwoTermAdiPreconditioner:

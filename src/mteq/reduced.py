@@ -269,9 +269,11 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
     back; powers of two scale exactly, so nothing else changes. An iterate
     holding inf or NaN, from a right-hand side or system action that
     overflows, stops it at once with a ``FloatingPointError`` that names
-    the step. numpy's overflow and invalid-value warnings are off for the
-    call, as they are in :func:`mteq.solver.solve`: that error names a
-    non-finite iterate, and the caller checks the coefficient.
+    the step and carries the solve's ``info`` as its ``info`` attribute,
+    so the steps it ran still count. numpy's overflow and invalid-value
+    warnings are off for the call, as they are in :func:`mteq.solver.solve`:
+    that error names a non-finite iterate, and the caller checks the
+    coefficient.
     """
     qk = sys.q_k
     if sys.path == "direct":
@@ -279,13 +281,14 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
         return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
                        "regularized": sys.regularized}
     e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
-    steps = 0
+    info = {"path": "pcg", "pcg_iters": 0, "converged": False, "regularized": False}
 
     def step(iterate):  # cg calls it once per step
-        nonlocal steps
-        steps += 1
+        info["pcg_iters"] += 1
         if not np.isfinite(iterate).all():
-            raise FloatingPointError(f"inner PCG iterate {steps} is not finite")
+            err = FloatingPointError(f"inner PCG iterate {info['pcg_iters']} is not finite")
+            err.info = info
+            raise err
 
     coeff, status = spla.cg(
         _vectorized(sys.apply, qk), np.ldexp(rhs, -e).ravel(), rtol=PCG_TOL,
@@ -297,6 +300,5 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
             f"{PCG_MAXIT} iterations; returning the best iterate",
             RuntimeWarning,
         )
-    return np.ldexp(coeff.reshape(qk, qk), e), {
-        "path": "pcg", "pcg_iters": steps, "converged": status == 0,
-        "regularized": False}
+    info["converged"] = status == 0
+    return np.ldexp(coeff.reshape(qk, qk), e), info

@@ -12,13 +12,14 @@ residual norm over the current direction pair:
 All iterates stay in low-rank factored form with truncation after every
 update, and the stopping test uses a sketched estimate of the residual
 norm when the problem is large, certified by the exact norm once it
-passes. Preconditioner output wider than the residual is compressed by a
-seeded range finder (see :func:`mteq.lowrank.truncate`); every other
-truncation is exact.
+passes. Every preconditioned residual is truncated by
+:func:`mteq.lowrank.truncate` with a seeded range finder, which compresses
+only output wider than its sample (ADI's); every other truncation is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 import warnings
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import single_pool
-from .lowrank import OVERSAMPLING, LowRankMatrix, TruncationConfig, factored_sum, truncate
+from .lowrank import LowRankMatrix, TruncationConfig, factored_sum, gaussian_sample, truncate
 from .operator import MultitermEquation, residual_factored
 from .precond import PreconditionerSpec, build_preconditioner
 from .reduced import InnerSolveConfig, alpha_rhs, beta_rhs, build_reduced, solve_reduced
@@ -79,7 +80,8 @@ class SolveReport:
     triples are
     ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
     iteration: ``(min, max)`` over that iteration's projected solves when
-    the iterative path ran, else ``None``. Estimates are not guaranteed
+    the iterative path ran, else ``None``; a ``beta`` solve that breaks
+    down counts the steps it ran. Estimates are not guaranteed
     monotone once truncation is active. ``sketch_dim`` is the dimension
     ``s`` by which :func:`mteq.sketch.sketches` chose ``sketch_mode``, and
     ``sketch_n_fft`` the transform length of the row and the column sketch,
@@ -142,12 +144,15 @@ def _timer(times: dict, key: str):
 
 @contextmanager
 def _stage(what: str):
-    """Re-raise a ``FloatingPointError`` as ``"{what} is not finite (its message)"``."""
+    """Re-raise a ``FloatingPointError`` as ``"{what} is not finite (its message)"``,
+    keeping the ``info`` of a projected solve that raised it."""
     try:
         yield
     except FloatingPointError as exc:
         cause = f" ({exc})" if exc.args else ""
-        raise FloatingPointError(f"{what} is not finite{cause}") from exc
+        err = FloatingPointError(f"{what} is not finite{cause}")
+        err.info = getattr(exc, "info", {})
+        raise err from exc
 
 
 def _require_finite(value) -> None:
@@ -175,13 +180,6 @@ def _pcg_entry(infos: list[dict]) -> tuple[int, int] | None:
     if not iters:
         return None
     return (min(iters), max(iters))
-
-
-def _range_finder_sample(seed: int, n_cols: int, width: int) -> np.ndarray:
-    """The range finder's Gaussian test matrix, ``n_cols x width`` and
-    Fortran-ordered, drawn from ``seed`` on a stream neither sketch uses."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    return rng.standard_normal((width, n_cols)).T
 
 
 def _break_down(reason: str, report: SolveReport) -> None:
@@ -246,13 +244,10 @@ def solve(
     ``eq`` does not have, and when the initial guess has a non-finite
     residual estimate.
 
-    Preconditioner output wider than the residual is truncated by the
-    range finder of :func:`mteq.lowrank.truncate`, with a Gaussian test
-    matrix of ``cfg.truncation.maxrank + OVERSAMPLING`` columns drawn from
-    ``cfg.sketch_seed``, on a stream neither sketch uses. It is drawn once,
-    at the first output that the sample would compress: output wider than
-    the sample, which is narrower than both dimensions. One-term and
-    un-preconditioned solves never draw it.
+    Every preconditioned residual is truncated by
+    :func:`mteq.lowrank.truncate`, which decides whether its range finder
+    samples it. The sample is :func:`mteq.lowrank.gaussian_sample` of
+    ``cfg.sketch_seed``, drawn at most once per solve and released with it.
 
     When numpy and scipy each bundle their own OpenBLAS, numpy's runs at one
     thread during the solve (see :mod:`mteq._blas`); scipy's LAPACK and
@@ -276,7 +271,7 @@ def solve(
         eq, cfg.truncation.maxrank, cfg.sketch_seed)
     report.sketch_n_fft = tuple(None if op is None else op.n_fft for op in (s_a, s_b))
 
-    sample_cols, omega = cfg.truncation.maxrank + OVERSAMPLING, None
+    sample = functools.cache(functools.partial(gaussian_sample, cfg.sketch_seed))
 
     with _timer(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
@@ -359,20 +354,9 @@ def solve(
             try:  # the direction: a breakdown records the pass, drawing none
                 with _timer(times, "precondition"):
                     z = precond.apply(r)
-                # ss_gcr1 recombines z with the direction just used; otherwise z
-                # is the next direction. Output wider than r (ADI's is t_adi
-                # times as wide) is truncated either way, through the range
-                # finder: r's rank is at most maxrank, so narrower output always
-                # falls back to the exact kernel.
-                recombine = cfg.method == "ss_gcr1" and k > 0
-                if z.rank > r.rank or not recombine:
-                    # Draw the sample at the first output it would compress: one
-                    # wider than the sample, which fits below both dimensions.
-                    if omega is None and sample_cols < min(z.rank, *z.shape):
-                        omega = _range_finder_sample(cfg.sketch_seed, eq.n_B, sample_cols)
-                    with _timer(times, "truncation"), _stage("preconditioned residual"):
-                        z = truncate(z, cfg.truncation, omega)
-                if recombine:
+                with _timer(times, "truncation"), _stage("preconditioned residual"):
+                    z = truncate(z, cfg.truncation, sample)
+                if cfg.method == "ss_gcr1" and k > 0:
                     with _timer(times, "reduced"), _stage("step coefficient beta"):
                         beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
                         infos.append(info)
@@ -381,6 +365,7 @@ def solve(
                         z = truncate(factored_sum(z, p, beta), cfg.truncation)
                 p_next = z
             except FloatingPointError as exc:
+                infos.append(getattr(exc, "info", {}))  # a beta solve that raised counts
                 _break_down(str(exc), report)
 
         # A pass that converged or broke down draws no direction: record

@@ -194,7 +194,8 @@ def test_range_finder_matches_the_exact_kernel_on_a_fast_decay():
     m = factored_with_spectrum(rng, 300, 200, 0.2 ** np.arange(80))
     cfg = TruncationConfig(toltrank=1e-10, maxrank=6)
     exact = truncate(m, cfg)
-    out = truncate(m, cfg, gaussian_omega(rng, 200, cfg.maxrank))
+    omega = gaussian_omega(rng, 200, cfg.maxrank)
+    out = truncate(m, cfg, lambda *_: omega)
     assert out.rank == exact.rank == 6
     dense = m.densify()
     err_exact = np.linalg.norm(dense - exact.densify())
@@ -206,7 +207,8 @@ def test_range_finder_error_on_a_slow_decay():
     sigma = 1.0 / np.arange(1, 121)
     m = factored_with_spectrum(rng, 250, 220, sigma)
     cfg = TruncationConfig(toltrank=1e-10, maxrank=10)
-    out = truncate(m, cfg, gaussian_omega(rng, 220, cfg.maxrank))
+    omega = gaussian_omega(rng, 220, cfg.maxrank)
+    out = truncate(m, cfg, lambda *_: omega)
     assert out.rank == 10
     tail = np.linalg.norm(sigma[10:])
     assert np.linalg.norm(m.densify() - out.densify()) <= 10 * tail
@@ -216,11 +218,18 @@ def test_range_finder_error_on_a_slow_decay():
                                                          (100, 40, 12)])
 def test_range_finder_falls_back_to_the_exact_kernel(n_rows, width, n_cols):
     # l = maxrank + OVERSAMPLING = 15 columns: no fewer than the width or a
-    # dimension, so a sample would compress nothing.
+    # dimension, so a sample would compress nothing and is never drawn.
     rng = np.random.default_rng(32)
     m = random_lowrank(rng, n_rows, n_cols, width)
     cfg = TruncationConfig(toltrank=1e-10, maxrank=5)
-    out, exact = truncate(m, cfg, gaussian_omega(rng, n_cols, 5)), truncate(m, cfg)
+    omega, calls = gaussian_omega(rng, n_cols, 5), []
+
+    def sample(*args):
+        calls.append(args)
+        return omega
+
+    out, exact = truncate(m, cfg, sample), truncate(m, cfg)
+    assert calls == []
     for got, want in zip((out.left, out.core, out.right), (exact.left, exact.core, exact.right)):
         assert np.array_equal(got, want)
 
@@ -229,7 +238,8 @@ def test_range_finder_of_zero_is_the_canonical_zero():
     rng = np.random.default_rng(33)
     m = LowRankMatrix(rng.standard_normal((90, 40)), np.zeros((40, 40)),
                       rng.standard_normal((70, 40)))
-    out = truncate(m, TruncationConfig(maxrank=5), gaussian_omega(rng, 70, 5))
+    omega = gaussian_omega(rng, 70, 5)
+    out = truncate(m, TruncationConfig(maxrank=5), lambda *_: omega)
     assert out.is_zero and out.shape == (90, 70)
     assert out.left.shape[1] == out.right.shape[1] == 0
 
@@ -239,10 +249,10 @@ def test_range_finder_output_is_orthonormal_and_repeatable():
     m = factored_with_spectrum(rng, 400, 300, 0.7 ** np.arange(90))
     cfg = TruncationConfig(toltrank=1e-10, maxrank=12)
     omega = gaussian_omega(rng, 300, cfg.maxrank)
-    out = truncate(m, cfg, omega)
+    out = truncate(m, cfg, lambda *_: omega)
     for factor in (out.left, out.right):
         assert np.abs(factor.T @ factor - np.eye(out.rank)).max() <= 1e-12
-    again = truncate(m, cfg, omega.copy())
+    again = truncate(m, cfg, lambda *_: omega.copy())
     for got, want in zip((out.left, out.core, out.right), (again.left, again.core, again.right)):
         assert np.array_equal(got, want)
 
@@ -252,8 +262,9 @@ def test_range_finder_rejects_a_non_finite_factor(side):
     rng = np.random.default_rng(35)
     m = random_lowrank(rng, 80, 60, 40)
     getattr(m, side)[5, 3] = np.nan
+    omega = gaussian_omega(rng, 60, 5)
     with pytest.raises(NonFiniteError):
-        truncate(m, TruncationConfig(maxrank=5), gaussian_omega(rng, 60, 5))
+        truncate(m, TruncationConfig(maxrank=5), lambda *_: omega)
     assert issubclass(NonFiniteError, FloatingPointError)
     assert issubclass(NonFiniteError, ValueError)
 

@@ -41,7 +41,8 @@ def test_one_term_identity_passthrough():
     eye = sp.identity(10, format="csr")
     r = random_lowrank(rng, 10, 10, 2)
     z = OneTermPreconditioner(eye, eye).apply(r)
-    assert z.left is r.left and z.right is r.right
+    for got, want in zip((z.left, z.core, z.right), (r.left, r.core, r.right)):
+        assert np.array_equal(got, want)
 
 
 def test_one_term_matches_dense_solve():

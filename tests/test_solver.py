@@ -534,19 +534,22 @@ def test_overflow_breakdown_warns_once(monkeypatch, build, method, message, thre
     assert [str(w.message).split(" is not finite")[0] for w in caught] == [message]
 
 
-@pytest.mark.parametrize(("build", "method", "coeff"), [
-    (overflowing_kron_convdiff, "ss_mr", "alpha"),
-    (overflowing_beta_convdiff, "ss_gcr1", "beta"),
+@pytest.mark.parametrize(("build", "method", "coeff", "pcg_iters"), [
+    (overflowing_kron_convdiff, "ss_mr", "alpha", []),
+    (overflowing_beta_convdiff, "ss_gcr1", "beta", [(1, 4)]),
 ], ids=["kronecker-sum", "beta-rhs"])
 def test_overflowing_pcg_projected_solve_stops_at_its_first_step(monkeypatch, build,
-                                                                 method, coeff):
-    # Inner PCG ran all PCG_MAXIT (200) iterations on NaN first.
+                                                                 method, coeff, pcg_iters):
+    # Inner PCG ran all PCG_MAXIT (200) iterations on NaN first. A step that
+    # breaks down leaves its pass out; a direction that does still counts the
+    # one PCG step of its beta solve next to alpha's 4 (it read [(4, 4)]).
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
     with pytest.warns(RuntimeWarning, match=rf"^step coefficient {coeff} is not finite "
                                             r"\(inner PCG iterate 1 is not finite\)"):
         _, rep = solve(build(), SolverConfig(method=method, tol=1e-8, maxit=20))
     assert rep.status == "breakdown"
     assert all(entry is None or entry[1] < 200 for entry in rep.inner_pcg_iters)
+    assert rep.inner_pcg_iters == pcg_iters
 
 
 def test_a_stage_that_breaks_down_still_counts_its_time():
@@ -743,18 +746,56 @@ def test_range_finder_sample_is_drawn_only_for_output_wider_than_it(monkeypatch,
     import mteq.solver
 
     calls = []
-    sample = mteq.solver._range_finder_sample
+    sample = mteq.solver.gaussian_sample
 
     def counted(*args):
         calls.append(args)
         return sample(*args)
 
-    monkeypatch.setattr(mteq.solver, "_range_finder_sample", counted)
+    monkeypatch.setattr(mteq.solver, "gaussian_sample", counted)
     eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
     cfg = dataclasses.replace(convdiff_config(method, maxit=4), preconditioner=spec,
                               truncation=TruncationConfig(toltrank=1e-10, maxrank=3))
     solve(eq, cfg)
     assert len(calls) == draws
+
+
+@pytest.mark.parametrize("spec", [
+    PreconditionerSpec.none(),
+    PreconditionerSpec.one_term(0),
+    PreconditionerSpec.two_term_adi(shift_source="analytic_laplacian"),
+], ids=["none", "one_term", "two_term_adi"])
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+def test_every_preconditioned_residual_is_truncated(monkeypatch, method, spec):
+    # ss_gcr1 recombined un-truncated output no wider than the residual.
+    import mteq.solver
+
+    build, truncate = mteq.solver.build_preconditioner, mteq.solver.truncate
+    applied, truncated = [], []
+
+    def recorded_build(*args):
+        precond = build(*args)
+        apply = precond.apply
+
+        def recorded_apply(r):
+            applied.append(apply(r))
+            return applied[-1]
+
+        precond.apply = recorded_apply
+        return precond
+
+    def recorded_truncate(m, *args):
+        truncated.append(m)
+        return truncate(m, *args)
+
+    monkeypatch.setattr(mteq.solver, "build_preconditioner", recorded_build)
+    monkeypatch.setattr(mteq.solver, "truncate", recorded_truncate)
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    cfg = dataclasses.replace(convdiff_config(method, maxit=4), preconditioner=spec,
+                              truncation=TruncationConfig(toltrank=1e-10, maxrank=3))
+    _, rep = solve(eq, cfg)
+    assert len(applied) == rep.iterations + 1 >= 3
+    assert all(any(m is z for m in truncated) for z in applied)
 
 
 @pytest.mark.parametrize("terms", [(-1, 0), (9, 9), (0, 4)])
