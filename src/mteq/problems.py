@@ -142,23 +142,33 @@ def save_manifest(eq: MultitermEquation, directory) -> Path:
     return path
 
 
+_ENTRY_TYPES = {"A": list, "B": list, "C": str, "D": str,
+                "p": int, "q": int, "n_A": int, "n_B": int}
+_TYPE_NAMES = {list: "a list of file names", str: "a file name", int: "an integer"}
+
+
 def load_manifest(path) -> MultitermEquation:
     """Read an equation back from a manifest written by :func:`save_manifest`.
 
-    Validates that every file matches the dimensions recorded in the
-    manifest and warns when the right-hand-side factors are numerically
-    rank deficient. Manifest keys beyond those it reads are ignored.
+    Checks each entry's JSON type and that every file matches the dimensions
+    recorded in the manifest; warns when the right-hand-side factors are
+    numerically rank deficient. Manifest keys beyond those it reads are ignored.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        a_paths, b_paths, c_path, d_path = (data[key] for key in "ABCD")
-        p, q, n_a, n_b = (int(data[key]) for key in ("p", "q", "n_A", "n_B"))
-    except KeyError as exc:
-        raise ManifestError(f"manifest is missing the {exc} entry") from exc
+    if not isinstance(data, dict):
+        raise ManifestError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key, kind in _ENTRY_TYPES.items():
+        if key not in data:
+            raise ManifestError(f"manifest is missing the {key!r} entry")
+        value = data[key]
+        if type(value) is not kind or kind is list and not all(type(v) is str for v in value):
+            raise ManifestError(
+                f"{path}: {key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    a_paths, b_paths, c_path, d_path, p, q, n_a, n_b = (data[key] for key in _ENTRY_TYPES)
     base = path.parent
 
     if len(a_paths) != p or len(b_paths) != p:

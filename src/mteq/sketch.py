@@ -7,8 +7,8 @@ subsample of ``s`` of the ``N`` rows rescaled by ``sqrt(N/s)``:
     S = sqrt(N/s) * P F_N[:, :n] diag(d).
 
 For a fixed seed it is a deterministic linear operator with O(N log N)
-cost per column. Sketching both sides of the factored residual lets us
-truncate it and estimate its Frobenius norm without tall QR factorizations.
+cost per column. With the pseudo-inverse of each side's sketched triangle, the
+factored residual is truncated and its norm estimated without tall QRs.
 
 Why padding keeps the sketch sound. ``N = next_fast_len(n)`` is the next
 5-smooth length, so the DCT never falls back to Bluestein's algorithm
@@ -40,10 +40,6 @@ from scipy.fft import dct, next_fast_len
 from .lowrank import LowRankMatrix, TruncationConfig, householder_qr, truncated_svd
 from .operator import MultitermEquation, residual_factored
 
-#: Condition-number threshold (LAPACK's 1-norm estimate) beyond which
-#: triangular sketch factors are inverted through the pseudo-inverse.
-PINV_CONDITION = 1e12
-
 
 @dataclass(frozen=True)
 class SketchOperator:
@@ -62,11 +58,8 @@ class SketchOperator:
     row_subset: np.ndarray
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        """Apply to a vector or to each column of a matrix."""
+        """Apply to each column of an ``n x k`` block; a vector is passed as ``v[:, None]``."""
         m = np.asarray(m, dtype=float)
-        squeeze = m.ndim == 1
-        if squeeze:
-            m = m[:, None]
         if m.shape[0] != self.n:
             raise ValueError(f"operand has {m.shape[0]} rows, sketch expects {self.n}")
         # The signs are written straight into the zero-padded buffer, which
@@ -74,8 +67,7 @@ class SketchOperator:
         y = np.zeros((self.n_fft, m.shape[1]))
         np.multiply(self.sign_flips[:, None], m, out=y[:self.n])
         y = dct(y, type=2, norm="ortho", axis=0, overwrite_x=True)
-        out = np.sqrt(self.n_fft / self.s) * y[self.row_subset, :]
-        return out[:, 0] if squeeze else out
+        return np.sqrt(self.n_fft / self.s) * y[self.row_subset, :]
 
 
 def make_sketch(n: int, s: int, seed: int) -> SketchOperator:
@@ -114,19 +106,16 @@ def sketches(
 
 
 def _sketched_side(f: np.ndarray, sketch: SketchOperator | None) -> tuple | None:
-    """``(R_s, u -> f @ inv(R_s) @ u)`` from the skinny QR of ``sketch(f)``.
+    """``(R_s, u -> f @ pinv(R_s) @ u)`` from the skinny QR of ``sketch(f)``.
 
-    The triangle is solved before one GEMM, so ``f inv(R_s)`` is never
-    formed; ``inv`` is ``pinv`` when ``R_s`` is not square or LAPACK's 1-norm
-    condition estimate (``trcon``) exceeds ``PINV_CONDITION``.
+    ``R_s`` is often singular after the first iteration: the residual factor
+    ``[C, A_i X, ...]`` of a smooth iterate is numerically rank deficient.
     """
     if sketch is None:
         return None
     r = householder_qr(sketch.apply(f))[0]
-    if r.shape[0] != r.shape[1] or sla.lapack.dtrcon(r)[0] * PINV_CONDITION < 1.0:
-        pinv = np.linalg.pinv(r)
-        return r, lambda u: f @ (pinv @ u)
-    return r, lambda u: f @ sla.solve_triangular(r, u)
+    pinv = np.linalg.pinv(r)
+    return r, lambda u: f @ (pinv @ u)
 
 
 def sketched_residual_truncate(
@@ -140,7 +129,7 @@ def sketched_residual_truncate(
 
     A sketched side is reduced by the skinny QR of the *sketched* factor in
     place of a tall one: with sketched triangles ``R_A, R_B`` the residual
-    is ``K_l @ rho @ K_r.T``, ``K_l = F_l inv(R_A)``, ``K_r = F_r inv(R_B)``
+    is ``K_l @ rho @ K_r.T``, ``K_l = F_l pinv(R_A)``, ``K_r = F_r pinv(R_B)``
     and ``rho = R_A @ mid @ R_B.T``; the compression kernel truncates the
     SVD of ``rho`` and maps only the kept vectors through ``K_l, K_r``. The
     estimate is the spectrum norm of ``rho``, the sketched residual's norm,

@@ -76,13 +76,13 @@ class SolveReport:
     preconditioner's output was not finite).
     ``iterations`` counts accepted steps; a redraw is not one.
     ``residual_estimates`` and ``ranks`` carry one entry for the initial
-    state plus one per iteration (``iterations + 1`` in total); the rank
-    triples are
-    ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one entry per
-    iteration: ``(min, max)`` over that iteration's projected solves when
-    the iterative path ran, else ``None``; a ``beta`` solve that breaks
-    down counts the steps it ran. Estimates are not guaranteed
-    monotone once truncation is active. ``sketch_dim`` is the dimension
+    state plus one per iteration (``iterations + 1`` in total). Estimates
+    are absolute norms, not guaranteed monotone once truncation is active;
+    divided by ``rhs_norm`` they are what ``tol`` is compared with. The rank
+    triples are ``(rank X, rank R, rank P)``. ``inner_pcg_iters`` has one
+    entry per iteration: ``(min, max)`` over that iteration's projected
+    solves when the iterative path ran, else ``None``; a ``beta`` solve that
+    breaks down counts the steps it ran. ``sketch_dim`` is the dimension
     ``s`` by which :func:`mteq.sketch.sketches` chose ``sketch_mode``, and
     ``sketch_n_fft`` the transform length of the row and the column sketch,
     ``None`` for a side that is not sketched. The exact residual of the

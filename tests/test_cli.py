@@ -322,6 +322,16 @@ def test_manifest_problem_source(tmp_path):
     assert code == 0
 
 
+def test_manifest_of_the_wrong_shape_is_a_configuration_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_report_records_blas_threads_of_the_solve(tmp_path):
     entry = _blas.describe()
     assert run_solve(tmp_path) == 0

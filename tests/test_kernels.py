@@ -269,13 +269,20 @@ def test_range_finder_rejects_a_non_finite_factor(side):
     assert issubclass(NonFiniteError, ValueError)
 
 
-def test_full_size_sketch_matches_exact_residual_truncation():
+@pytest.mark.parametrize("singular", [False, True], ids=["distinct-terms", "singular-triangle"])
+def test_full_size_sketch_matches_exact_residual_truncation(singular):
     # With s = n the sketch is orthogonal, so the sketched sides reduce the
-    # residual exactly, up to rounding.
+    # residual exactly, up to rounding. With terms (a, b) and (a, 2b) the
+    # left factor [C, aX, aX] repeats columns and the right one [D, bX, 2bX]
+    # scales them, so both sketched triangles are exactly singular and are
+    # reduced through their pseudo-inverses.
     rng = np.random.default_rng(5)
     n, p = 70, 2
     terms = [(sp.csr_matrix(rng.standard_normal((n, n))),
               sp.csr_matrix(rng.standard_normal((n, n)))) for _ in range(p)]
+    if singular:
+        a, b = terms[0]
+        terms = [(a, b), (a, 2.0 * b)]
     eq = MultitermEquation(terms=terms, C=rng.standard_normal((n, 2)),
                            D=rng.standard_normal((n, 2)))
     x = LowRankMatrix(rng.standard_normal((n, 3)), np.eye(3), rng.standard_normal((n, 3)))
@@ -287,6 +294,12 @@ def test_full_size_sketch_matches_exact_residual_truncation():
     assert est_s == pytest.approx(est, rel=1e-12)
     scale = np.linalg.norm(exact.densify())
     assert np.linalg.norm(sketched.densify() - exact.densify()) <= 1e-10 * scale
+    if singular:
+        # The residual has rank 2 + 3: a 40-row sketch still spans its range.
+        assert exact.rank == 5
+        sketched, _, _ = sketched_residual_truncate(
+            eq, x, make_sketch(n, 40, seed=1), make_sketch(n, 40, seed=2), cfg)
+        assert np.linalg.norm(sketched.densify() - exact.densify()) <= 1e-10 * scale
 
 
 def nonsymmetric_equation(rng, n_a, n_b, p):

@@ -205,7 +205,17 @@ def _unparseable(directory, data):
     (lambda _, data: data | {"A": data["A"][:1]}, "expected 2 coefficient pairs, found 1 / 2"),
     (lambda _, data: data | {"B": data["A"]}, r"A_1\.mtx: expected shape \(5, 5\), got \(4, 4\)"),
     (lambda _, data: data | {"q": 3}, r"C has shape \(4, 2\), expected \(4, 3\)"),
-], ids=["unparseable-matrix", "invalid-json", "pair-count", "B-shape", "C-shape"])
+    (lambda _, data: [], "expected a JSON object, got list"),
+    (lambda _, data: data | {"A": None}, "A must be a list of file names, got null"),
+    (lambda _, data: data | {"B": ["B_1.mtx", 2]}, r"B must be a list of file names, got \["),
+    (lambda _, data: data | {"C": 5}, "C must be a file name, got 5"),
+    (lambda _, data: data | {"p": [1]}, r"p must be an integer, got \[1\]"),
+    (lambda _, data: data | {"p": 2.7}, "p must be an integer, got 2.7"),
+    (lambda _, data: data | {"q": True}, "q must be an integer, got true"),
+    (lambda _, data: data | {"n_A": "4"}, 'n_A must be an integer, got "4"'),
+], ids=["unparseable-matrix", "invalid-json", "pair-count", "B-shape", "C-shape",
+        "top-level-list", "A-null", "B-non-string", "C-number", "p-list", "p-float", "q-bool",
+        "n_A-string"])
 def test_malformed_manifest_names_what_is_wrong(tmp_path, corrupt, message):
     rng = np.random.default_rng(3)
     eq = MultitermEquation(

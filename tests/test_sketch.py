@@ -39,15 +39,15 @@ def test_full_sampling_is_orthogonal():
         assert s.n_fft == n
         for _ in range(5):
             v = rng.standard_normal(n)
-            ratio = np.linalg.norm(s.apply(v)) / np.linalg.norm(v)
+            ratio = np.linalg.norm(s.apply(v[:, None])) / np.linalg.norm(v)
             assert 1 - 1e-10 <= ratio <= 1 + 1e-10
 
 
 def test_determinism_for_fixed_seed():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(128)
-    a = make_sketch(128, 32, seed=11).apply(v)
-    b = make_sketch(128, 32, seed=11).apply(v)
+    a = make_sketch(128, 32, seed=11).apply(v[:, None])
+    b = make_sketch(128, 32, seed=11).apply(v[:, None])
     assert np.array_equal(a, b)
 
 
@@ -57,7 +57,7 @@ def test_norm_estimate_unbiased_over_seeds():
     for n in (1024, 1022):
         v = rng.standard_normal(n)
         ratios = [
-            np.linalg.norm(make_sketch(n, 128, seed=k).apply(v)) ** 2
+            np.linalg.norm(make_sketch(n, 128, seed=k).apply(v[:, None])) ** 2
             / np.linalg.norm(v) ** 2
             for k in range(200)
         ]
@@ -96,7 +96,6 @@ def test_padded_sketch_matches_explicit_matrix(n, s, n_fft):
     explicit = np.sqrt(n_fft / s) * dct_n[sk.row_subset][:, :n] * sk.sign_flips
     m = np.random.default_rng(6).standard_normal((n, 7))
     np.testing.assert_allclose(sk.apply(m), explicit @ m, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sk.apply(m[:, 0]), explicit @ m[:, 0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 2048])
