@@ -217,7 +217,7 @@ def _bench_case(case) -> dict:
         "pcg_max": max(t[1] for t in pcg) if pcg else None,
         "res": true_residual(eq, x),
         "time": elapsed,
-        "converged": report.converged,
+        "status": report.status,
     }
 
 
@@ -235,7 +235,7 @@ def _cmd_bench(args) -> int:
     print(header)
     for row in rows:
         pcg = "--" if row["pcg_min"] is None else f"[{row['pcg_min']},{row['pcg_max']}]"
-        mark = "" if row["converged"] else " *"
+        mark = "" if row["status"] == "converged" else f" {row['status']}"
         print(
             f"{row['n']:>6} {row['eps']:>6} {row['method']:>8} {row['k']:>4} "
             f"{row['rank']:>5} {pcg:>10} {row['res']:>10.1e} "
@@ -249,7 +249,7 @@ def _cmd_bench(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {out}")
-    return 0 if all(row["converged"] for row in rows) else 3
+    return 0 if all(row["status"] == "converged" for row in rows) else 3
 
 
 def _cmd_verify(args) -> int:

@@ -60,6 +60,8 @@ class SketchOperator:
     def apply(self, m: np.ndarray) -> np.ndarray:
         """Apply to each column of an ``n x k`` block; a vector is passed as ``v[:, None]``."""
         m = np.asarray(m, dtype=float)
+        if m.ndim != 2:
+            raise ValueError(f"operand has shape {m.shape}, sketch expects an n x k block")
         if m.shape[0] != self.n:
             raise ValueError(f"operand has {m.shape[0]} rows, sketch expects {self.n}")
         # The signs are written straight into the zero-padded buffer, which

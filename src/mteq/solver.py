@@ -38,6 +38,10 @@ from .sketch import sketched_residual_truncate, sketches
 
 #: Relative stagnation threshold on the step coefficient.
 STALL_RTOL = 1e-16
+#: A pass improves when its estimate falls this fraction below the lowest so far.
+PLATEAU_RTOL = 0.01
+#: Consecutive passes that do not improve before the solve stops as stagnated.
+PLATEAU_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ class SolveReport:
     ``status`` is ``"converged"`` (the residual norm is within ``tol``:
     a sketched estimate that passes is certified by the exact norm),
     ``"maxit_reached"``, ``"stagnated"`` (the step coefficient vanished
-    again after a redraw) or ``"breakdown"`` (a step coefficient, the
+    again after a redraw, or the residual estimate stopped falling: see
+    :func:`solve`) or ``"breakdown"`` (a step coefficient, the
     residual estimate, the projected system, an update or the
     preconditioner's output was not finite).
     ``iterations`` counts accepted steps; a redraw is not one.
@@ -121,8 +126,8 @@ class IterationInfo:
     ``k`` is the zero-based index of the accepted step; ``X``, ``R`` and
     ``residual_estimate`` describe the iterate after it. ``P`` is the
     direction the step took and ``P_next`` the next one, ``None`` on an
-    iteration that draws no direction: the converged one, and one that
-    broke down while drawing it.
+    iteration that draws no direction: the last one (converged, stagnated
+    or at ``maxit``), and one that broke down while drawing it.
     """
 
     k: int
@@ -218,31 +223,37 @@ def solve(
     -----
     The loop stops once the residual norm falls below
     ``cfg.tol * ||C D.T||_F`` or after ``cfg.maxit`` passes, whichever
-    comes first; inner-solve trouble is reported through warnings but
-    never aborts the iteration. The test reads the residual-norm estimate,
-    which is exact when nothing is sketched. A sketched estimate is not a
-    certificate: one that passes is checked on the exact norm of the
-    factored residual it was taken from, which the estimate stage returns
-    and which is released before preconditioning. If that fails the solve
-    warns with both relative values and goes on towards a target tightened
-    by their ratio. If a step coefficient vanishes relative to
-    the accumulated core, the direction is redrawn once from the
-    un-preconditioned residual; the redraw uses up a pass. A second
-    vanishing step stops the solve with status ``"stagnated"``. A step
-    coefficient ``alpha`` or ``beta``, a residual estimate, a projected
-    Gram table or assembled system, an updated iterate, a recombined
-    direction or a preconditioner output that is not finite stops it with
-    status ``"breakdown"`` and a ``RuntimeWarning`` that names it; the
-    iterate returned is the last one whose estimate was finite, and the
-    report describes that iterate. A breakdown while taking a step leaves
-    that pass out of the report; one while drawing the next direction
-    records the pass, with ``P_next`` ``None``. Every such value is checked
-    where it is used, so numpy's overflow and invalid-value warnings are
-    off for the whole call, ``callback`` included, and only the
-    breakdown's own warning reaches the caller. A ``ValueError`` is raised
-    up front when ``cfg.inner.inner_precond_terms`` names a term that
-    ``eq`` does not have, and when the initial guess has a non-finite
-    residual estimate.
+    comes first; the last pass draws no direction. Inner-solve trouble is reported through
+    warnings but never aborts the iteration. The test reads the
+    residual-norm estimate, which is exact when nothing is sketched. A
+    sketched estimate is not a certificate: one that passes is checked on
+    the exact norm of the factored residual it was taken from, which the
+    estimate stage returns and which is released before preconditioning. If
+    that fails the solve warns with both relative values and goes on towards
+    a target tightened by their ratio. A pass improves when its estimate
+    falls below ``1 - PLATEAU_RTOL`` times the lowest so far; after
+    ``PLATEAU_PASSES`` recorded passes in a row that do not, the truncation
+    error has caught up with what a step gains, and the solve stops with
+    status ``"stagnated"`` and a ``RuntimeWarning`` that names the lowest
+    relative estimate, the iteration it came from and the ranks against
+    ``maxrank``. The iterate returned is the last one, as at ``maxit``. If a
+    step coefficient vanishes relative to the accumulated core, the
+    direction is redrawn once from the un-preconditioned residual; the
+    redraw uses up a pass. A second vanishing step stops the solve with
+    status ``"stagnated"``. A step coefficient ``alpha`` or ``beta``, a
+    residual estimate, a projected Gram table or assembled system, an
+    updated iterate, a recombined direction or a preconditioner output that
+    is not finite stops it with status ``"breakdown"`` and a
+    ``RuntimeWarning`` that names it; the iterate returned is the last one
+    whose estimate was finite, and the report describes that iterate. A
+    breakdown while taking a step leaves that pass out of the report; one
+    while drawing the next direction records the pass, with ``P_next``
+    ``None``. Every such value is checked where it is used, so numpy's
+    overflow and invalid-value warnings are off for the whole call,
+    ``callback`` included, and only the breakdown's own warning reaches the
+    caller. A ``ValueError`` is raised up front when
+    ``cfg.inner.inner_precond_terms`` names a term that ``eq`` does not
+    have, and when the initial guess has a non-finite residual estimate.
 
     Every preconditioned residual is truncated by
     :func:`mteq.lowrank.truncate`, which decides whether its range finder
@@ -280,6 +291,8 @@ def solve(
     # and draws the first direction. Each later pass takes one step.
     p = LowRankMatrix.zeros(eq.n_A, eq.n_B)
     redrawn, target = False, cfg.tol * rhs_norm
+    # The lowest estimate, its iteration, and the passes in a row that did not improve.
+    best, best_at, flat = np.inf, 0, 0
     for k in range(cfg.maxit + 1):
         infos: list[dict] = []
         try:  # the step: a breakdown leaves the pass unrecorded
@@ -347,10 +360,24 @@ def solve(
                 target = cfg.tol * rhs_norm * estimate / exact
         del residual  # 2 n (q + p rank X) floats: not held while preconditioning
 
+        flat = 0 if estimate < (1.0 - PLATEAU_RTOL) * best else flat + 1
+        if estimate < best:
+            best, best_at = estimate, report.iterations
+
         p_next = None
         if converged:
             report.status = "converged"
-        else:
+        elif flat >= PLATEAU_PASSES:
+            report.status = "stagnated"
+            warnings.warn(
+                f"residual estimate stopped falling: none of the last {flat} "
+                f"iterations lowered it by {PLATEAU_RTOL:.0%}; the lowest relative "
+                f"estimate is {best / (rhs_norm or 1.0):.3e}, after "
+                f"iteration {best_at}; ranks (X, R, P) ({x.rank}, {r.rank}, {p.rank}) "
+                f"against maxrank {cfg.truncation.maxrank}; stopping",
+                RuntimeWarning,
+            )
+        elif k < cfg.maxit:
             try:  # the direction: a breakdown records the pass, drawing none
                 with _timer(times, "precondition"):
                     z = precond.apply(r)
@@ -368,8 +395,8 @@ def solve(
                 infos.append(getattr(exc, "info", {}))  # a beta solve that raised counts
                 _break_down(str(exc), report)
 
-        # A pass that converged or broke down draws no direction: record
-        # the one just used.
+        # A pass that stopped the solve or broke down draws no direction:
+        # record the one just used.
         report.ranks.append((x.rank, r.rank, (p if p_next is None else p_next).rank))
         if k > 0:
             report.inner_pcg_iters.append(_pcg_entry(infos))

@@ -79,6 +79,12 @@ def vanish_first_steps(monkeypatch, count):
         monkeypatch, lambda k, coeff: np.zeros_like(coeff) if k <= count else coeff)
 
 
+def vanish_step(monkeypatch, call):
+    """Make the solver's ``call``-th projected solve (1-based) return a zero coefficient."""
+    _patch_step_coefficients(
+        monkeypatch, lambda k, coeff: np.zeros_like(coeff) if k == call else coeff)
+
+
 def poison_step(monkeypatch, call):
     """Make the solver's ``call``-th projected solve (1-based) return a NaN coefficient.
 

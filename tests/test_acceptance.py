@@ -7,6 +7,7 @@ asserts, so a red criterion still reports its measured values.
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -97,7 +98,9 @@ def test_criterion_2_benchmark_reproduction_eps_001():
         sketch_seed=deep_cfg.sketch_seed,
         preconditioner=deep_cfg.preconditioner,
     )
-    _, deep_rep = solve(eq, deep_cfg)
+    # It levels off near 7e-8, far above tol, and stops there.
+    with pytest.warns(RuntimeWarning, match="residual estimate stopped falling"):
+        _, deep_rep = solve(eq, deep_cfg)
     deep_pcg = [t for t in deep_rep.inner_pcg_iters if t is not None]
     deep_max = max((t[1] for t in deep_pcg), default=0)
     ok = all(

@@ -109,6 +109,19 @@ def test_stagnated_solve_exits_3_but_writes_report(tmp_path, monkeypatch):
     assert report["result"]["status"] == "stagnated"
     assert report["result"]["iterations"] == 0
 
+    # The other cause: at maxrank 30 the estimate levels off near 1.1e-9.
+    monkeypatch.undo()
+    out = tmp_path / "plateau"
+    with pytest.warns(RuntimeWarning, match="residual estimate stopped falling"):
+        code = main(["solve", "--n", "64", "--method", "ss-mr", "--maxrank", "30",
+                     "--tol", "1e-10", "--maxit", "40", "--precond", "two-term-adi",
+                     "--seed", "7", "--out-dir", str(out)])
+    assert code == 3
+    result = json.loads((out / "report.json").read_text())["result"]
+    assert result["status"] == "stagnated"
+    assert 2 < result["iterations"] <= 8
+    assert len(result["residual_estimates"]) == result["iterations"] + 1
+
 
 def test_breakdown_exits_3_but_writes_report(tmp_path, monkeypatch):
     poison_step(monkeypatch, 2)
@@ -451,6 +464,28 @@ def test_bench_quick_emits_all_columns(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 4  # 1 size x 2 eps x 2 methods
     assert all(float(row["res"]) <= 1e-6 for row in rows)
+
+
+def test_bench_names_the_status_of_a_row_that_did_not_converge(tmp_path, monkeypatch, capsys):
+    solve = mteq.cli.solve
+
+    def stagnating_mr(eq, cfg):
+        x, report = solve(eq, cfg)
+        if cfg.method == "ss_mr":
+            report.status = "stagnated"
+        return x, report
+
+    monkeypatch.setattr(mteq.cli, "solve", stagnating_mr)
+    assert main(["bench", "--sizes", "66", "--seed", "3",
+                 "--out-dir", str(tmp_path)]) == 3
+    rows = capsys.readouterr().out.splitlines()[1:5]
+    assert [row.split()[2] for row in rows] == ["ss_gcr1", "ss_mr"] * 2
+    last = [row.split()[-1] for row in rows]
+    assert last[1::2] == ["stagnated"] * 2
+    assert all(float(time) >= 0 for time in last[::2])  # a converged row ends at its time
+    with open(tmp_path / "bench.csv") as handle:
+        statuses = [row["status"] for row in csv.DictReader(handle)]
+    assert statuses == ["converged", "stagnated"] * 2
 
 
 def test_bench_configures_each_grid_point_as_the_acceptance_benchmark(tmp_path, monkeypatch):

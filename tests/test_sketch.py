@@ -235,6 +235,13 @@ def test_two_sided_recovers_constructed_low_rank_residual():
     assert hits_ratio >= 190
 
 
+@pytest.mark.parametrize("shape", [(10,), (10, 2, 1), ()], ids=["vector", "3d", "scalar"])
+def test_sketch_rejects_an_operand_that_is_not_a_block(shape):
+    # A vector of the right length raised IndexError from its missing column count.
+    with pytest.raises(ValueError, match=r"sketch expects an n x k block"):
+        make_sketch(10, 4, seed=0).apply(np.ones(shape))
+
+
 def test_sketch_rejects_an_operand_of_the_wrong_height():
     with pytest.raises(ValueError, match="operand has 9 rows, sketch expects 10"):
         make_sketch(10, 4, seed=0).apply(np.ones((9, 2)))
