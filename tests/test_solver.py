@@ -374,6 +374,22 @@ def test_solve_stops_once_the_residual_estimate_levels_off(monkeypatch):
     assert true_residual(eq, x) == pytest.approx(true_residual(eq, x_full), rel=0.05)
 
 
+def test_stop_does_not_depend_on_rounding():
+    # Scaling the right-hand side by 1 + j 2**-45 changes nothing but
+    # rounding, which is all a BLAS kernel or thread count changes. On the
+    # floor near 1.6e-8 the residual wanders by a few percent from pass to
+    # pass; with 1% as an improvement, these runs stopped after 16, 14 and 13.
+    eq = build_convdiff(ConvDiffSpec(n=96, eps=0.01))
+    cfg = plateau_config("ss_gcr1", maxit=20)
+    stops = set()
+    for j in range(3):
+        scaled = dataclasses.replace(eq, C=eq.C * (1 + j * 2.0**-45))
+        with pytest.warns(RuntimeWarning, match="residual estimate stopped falling"):
+            _, rep = solve(scaled, cfg)
+        stops.add((rep.status, rep.iterations))
+    assert len(stops) == 1
+
+
 def test_redraw_pass_does_not_count_towards_the_stop(monkeypatch):
     eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
     with pytest.warns(RuntimeWarning, match="residual estimate stopped falling"):
