@@ -217,14 +217,15 @@ class _TridiagonalLDLt:
 def _factor(matrix, label: str):
     """Factors of a square matrix, solved through ``.solve(b)``.
 
-    A symmetric positive definite matrix with no entry off the three middle
-    diagonals goes to LAPACK's LDL^T, any other to SuperLU. A singular
-    matrix raises ``ValueError`` naming it as ``label``.
+    A symmetric positive definite matrix of order 2 or more with no entry off
+    the three middle diagonals goes to LAPACK's LDL^T (``pttrf`` takes no
+    empty off-diagonal), any other to SuperLU. A singular matrix raises
+    ``ValueError`` naming it as ``label``.
     """
     coo = sp.coo_matrix(matrix)
     coo.sum_duplicates()  # the band is filled by assignment
     offsets = coo.col - coo.row
-    if np.abs(offsets).max(initial=0) <= 1:
+    if coo.shape[0] >= 2 and np.abs(offsets).max(initial=0) <= 1:
         rows = np.zeros((3, coo.shape[1]))  # column i: A[i, i-1], A[i, i], A[i, i+1]
         rows[1 + offsets, coo.row] = coo.data
         if np.array_equal(rows[0, 1:], rows[2, :-1]):
@@ -243,10 +244,10 @@ def _shifted(name: str, shift: float) -> str:
 
 
 def _identity_deviation(matrix) -> float:
-    """Largest absolute entry of ``matrix - I``."""
-    eye = sp.identity(matrix.shape[0], format=matrix.format) \
-        if sp.issparse(matrix) else np.eye(matrix.shape[0])
-    return float(abs(matrix - eye).max())
+    """Largest absolute entry of ``matrix - I``, taken in CSR: a DIA, LIL or
+    DOK matrix has no ``max``."""
+    csr = sp.csr_matrix(matrix)
+    return float(abs(csr - sp.identity(csr.shape[0], format="csr")).max())
 
 
 class NonePreconditioner:
@@ -261,8 +262,8 @@ class OneTermPreconditioner:
 
     Factor-wise: the left factor is solved with ``A``, the right factor
     with ``B.T``, and the core is unchanged, so the rank is preserved. Both
-    factorizations are made once, at construction. An identity side goes
-    through its LDL^T like any other, which returns its factor unchanged.
+    factorizations are made once, at construction. An identity side is
+    factored like any other, and its solve returns its factor unchanged.
     A singular coefficient raises ``ValueError`` naming it by ``names``.
     """
 

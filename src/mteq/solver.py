@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._blas import single_pool
 from .lowrank import LowRankMatrix, TruncationConfig, factored_sum, gaussian_sample, truncate
@@ -36,8 +35,6 @@ from .precond import PreconditionerSpec, build_preconditioner
 from .reduced import InnerSolveConfig, alpha_rhs, beta_rhs, build_reduced, solve_reduced
 from .sketch import sketched_residual_truncate, sketches
 
-#: Relative stagnation threshold on the step coefficient.
-STALL_RTOL = 1e-16
 #: A pass improves when its estimate falls this fraction below the lowest so far.
 #: On a truncation floor the residual itself wanders by up to 5% from pass to
 #: pass, and with it which pass dips lowest, as rounding (BLAS kernel, thread
@@ -77,12 +74,11 @@ class SolveReport:
 
     ``status`` is ``"converged"`` (the residual norm is within ``tol``:
     a sketched estimate that passes is certified by the exact norm),
-    ``"maxit_reached"``, ``"stagnated"`` (the step coefficient vanished
-    again after a redraw, or the residual estimate stopped falling: see
-    :func:`solve`) or ``"breakdown"`` (a step coefficient, the
+    ``"maxit_reached"``, ``"stagnated"`` (the residual estimate stopped
+    falling: see :func:`solve`) or ``"breakdown"`` (a step coefficient, the
     residual estimate, the projected system, an update or the
     preconditioner's output was not finite).
-    ``iterations`` counts accepted steps; a redraw is not one.
+    ``iterations`` counts accepted steps.
     ``residual_estimates`` and ``ranks`` carry one entry for the initial
     state plus one per iteration (``iterations + 1`` in total). Estimates
     are absolute norms, not guaranteed monotone once truncation is active;
@@ -239,14 +235,12 @@ def solve(
     error has caught up with what a step gains, and the solve stops with
     status ``"stagnated"`` and a ``RuntimeWarning`` that names the lowest
     relative estimate, the iteration it came from and the ranks against
-    ``maxrank``. The iterate returned is the last one, as at ``maxit``. If a
-    step coefficient vanishes relative to the accumulated core, the
-    direction is redrawn once from the un-preconditioned residual; the
-    redraw uses up a pass. A second vanishing step stops the solve with
-    status ``"stagnated"``. A step coefficient ``alpha`` or ``beta``, a
-    residual estimate, a projected Gram table or assembled system, an
-    updated iterate, a recombined direction or a preconditioner output that
-    is not finite stops it with status ``"breakdown"`` and a
+    ``maxrank``. The iterate returned is the last one, as at ``maxit``. A
+    step whose coefficient vanishes leaves the estimate where it was: it is
+    one more pass that does not improve. A step coefficient ``alpha`` or
+    ``beta``, a residual estimate, a projected Gram table or assembled
+    system, an updated iterate, a recombined direction or a preconditioner
+    output that is not finite stops it with status ``"breakdown"`` and a
     ``RuntimeWarning`` that names it; the iterate returned is the last one
     whose estimate was finite, and the report describes that iterate. A
     breakdown while taking a step leaves that pass out of the report; one
@@ -293,7 +287,7 @@ def solve(
     # Pass 0 has no direction yet: it only evaluates the initial residual
     # and draws the first direction. Each later pass takes one step.
     p = LowRankMatrix.zeros(eq.n_A, eq.n_B)
-    redrawn, target = False, cfg.tol * rhs_norm
+    target = cfg.tol * rhs_norm
     # The lowest estimate, its iteration, and the passes in a row that did not improve.
     best, best_at, flat = np.inf, 0, 0
     for k in range(cfg.maxit + 1):
@@ -307,27 +301,6 @@ def solve(
                         alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
                         infos.append(info)
                         _require_finite(alpha)
-
-                # nrm2 scales instead of squaring: huge iterates must not read inf <= inf.
-                core_scale = sla.norm(x.core.ravel(), check_finite=False)
-                if sla.norm(alpha.ravel(), check_finite=False) <= STALL_RTOL * core_scale:
-                    if redrawn:
-                        warnings.warn(
-                            "step coefficient vanished twice; stopping early",
-                            RuntimeWarning,
-                        )
-                        report.status = "stagnated"
-                        break
-                    redrawn = True
-                    warnings.warn(
-                        "step coefficient vanished; redrawing the direction from "
-                        "the un-preconditioned residual",
-                        RuntimeWarning,
-                    )
-                    with _timer(times, "truncation"):
-                        p = truncate(r, cfg.truncation)
-                    continue
-
                 with _timer(times, "truncation"), _stage("updated iterate"):
                     x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
 

@@ -70,19 +70,10 @@ def _patch_step_coefficients(monkeypatch, replace):
 
 
 def vanish_first_steps(monkeypatch, count):
-    """Make the solver's first ``count`` projected solves return zero coefficients.
-
-    A zero step coefficient is what the solver treats as a vanished step,
-    so this drives its redraw and early-stop paths.
-    """
+    """Make the solver's first ``count`` projected solves return zero
+    coefficients, every one of them at ``count = np.inf``."""
     _patch_step_coefficients(
         monkeypatch, lambda k, coeff: np.zeros_like(coeff) if k <= count else coeff)
-
-
-def vanish_step(monkeypatch, call):
-    """Make the solver's ``call``-th projected solve (1-based) return a zero coefficient."""
-    _patch_step_coefficients(
-        monkeypatch, lambda k, coeff: np.zeros_like(coeff) if k == call else coeff)
 
 
 def poison_step(monkeypatch, call):

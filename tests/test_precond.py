@@ -250,6 +250,18 @@ def test_two_term_warns_on_nonidentity_companions():
         )
 
 
+@pytest.mark.parametrize("fmt", ["dia", "csr", "csc", "coo", "lil", "dok", "bsr", "dense"])
+def test_identity_deviation_reads_every_matrix_format(fmt):
+    # A DIA matrix, sp.identity's default, has no max: this raised AttributeError.
+    def as_format(m):
+        return m.toarray() if fmt == "dense" else m.asformat(fmt)
+
+    eye = sp.identity(12, format="lil")
+    assert precond._identity_deviation(as_format(eye)) == 0.0
+    eye[0, 1] = -0.5
+    assert precond._identity_deviation(as_format(eye)) == 0.5
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PreconditionerSpec(kind="bogus")

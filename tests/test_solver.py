@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from conftest import (
     random_posdef_equation,
     scaled_rhs_convdiff,
     vanish_first_steps,
-    vanish_step,
 )
 
 
@@ -305,43 +305,68 @@ def convdiff_config(method, maxit):
 
 
 @pytest.mark.parametrize("method", ["ss_gcr1", "ss_mr"])
-def test_redraw_keeps_report_lengths_and_uses_a_pass(monkeypatch, method):
+def test_one_vanished_step_is_an_ordinary_pass(monkeypatch, method):
     eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
     vanish_first_steps(monkeypatch, 1)
-    with pytest.warns(RuntimeWarning, match="redrawing the direction") as caught:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         x, rep = solve(eq, convdiff_config(method, maxit=50))
-    assert len(caught) == 1
+    assert [str(w.message) for w in caught] == []
     assert rep.converged
-    assert rep.iterations >= 1
-    assert len(rep.residual_estimates) == rep.iterations + 1
-    assert len(rep.ranks) == rep.iterations + 1
+    assert rep.residual_estimates[1] == rep.residual_estimates[0]
+    assert len(rep.residual_estimates) == len(rep.ranks) == rep.iterations + 1
     assert len(rep.inner_pcg_iters) == rep.iterations
     assert true_residual(eq, x) <= 1e-6
 
-    # The redraw pass counts against maxit but not as an iteration.
-    vanish_first_steps(monkeypatch, 1)
-    with pytest.warns(RuntimeWarning, match="redrawing the direction"):
-        _, short = solve(eq, convdiff_config(method, maxit=3))
-    assert short.status == "maxit_reached"
-    assert short.iterations == 2
-    assert len(short.residual_estimates) == len(short.ranks) == 3
-    assert len(short.inner_pcg_iters) == 2
 
-
-def test_second_vanishing_step_reports_stagnated(monkeypatch):
+@pytest.mark.parametrize("method", ["ss_gcr1", "ss_mr"])
+def test_a_step_that_always_vanishes_stops_stagnated(monkeypatch, method):
+    # It redrew the direction once, then stopped at 0 iterations because
+    # the step "vanished twice"; now the plateau rule alone stops it.
     eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
-    vanish_first_steps(monkeypatch, 2)
+    vanish_first_steps(monkeypatch, np.inf)
     with pytest.warns(RuntimeWarning) as caught:
-        x, rep = solve(eq, convdiff_config("ss_gcr1", maxit=10))
-    messages = [str(w.message) for w in caught]
-    assert any("redrawing the direction" in m for m in messages)
-    assert any("vanished twice; stopping early" in m for m in messages)
-    assert rep.status == "stagnated"
-    assert not rep.converged
-    assert rep.iterations == 0
-    assert len(rep.residual_estimates) == len(rep.ranks) == 1
-    assert rep.inner_pcg_iters == []
+        x, rep = solve(eq, convdiff_config(method, maxit=10))
+    assert [str(w.message).startswith("residual estimate stopped falling")
+            for w in caught] == [True]
+    assert (rep.status, rep.converged) == ("stagnated", False)
+    assert rep.iterations == mteq.solver.PLATEAU_PASSES == 2
+    assert len(rep.residual_estimates) == len(rep.ranks) == rep.iterations + 1
+    assert len(rep.inner_pcg_iters) == rep.iterations
     assert x.is_zero
+
+
+def thin_convdiff(shape):
+    """Convdiff n = 66 on its first interior column, a 64 x 1 equation, or
+    mirrored on its first row, 1 x 64. In both, term 0 is the diffusion along
+    the rows and term 1 along the columns."""
+    eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
+    terms = [(a, b[:1, :1]) for a, b in eq.terms]
+    if shape == (64, 1):
+        return MultitermEquation(terms=terms, C=eq.C, D=eq.D[:1])
+    mirrored = [(b.T, a.T) for a, b in terms]
+    mirrored[:2] = mirrored[1::-1]
+    return MultitermEquation(terms=mirrored, C=eq.D[:1], D=eq.C)
+
+
+@pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
+                                  PreconditionerSpec.one_term(1),
+                                  PreconditionerSpec.two_term_adi()],
+                         ids=["none", "one_term-0", "one_term-1", "two_term_adi"])
+@pytest.mark.parametrize("shape", [(64, 1), (1, 64)], ids=["64x1", "1x64"])
+def test_a_side_of_one_solves_under_every_preconditioner(shape, spec):
+    # Factoring a 1 x 1 coefficient raised ValueError from pttrf's empty off-diagonal.
+    eq = thin_convdiff(shape)
+    cfg = SolverConfig(tol=1e-8, maxit=30, truncation=TruncationConfig(maxrank=10),
+                       sketch_seed=7, preconditioner=spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x, rep = solve(eq, cfg)
+    assert rep.status in ("converged", "maxit_reached", "stagnated", "breakdown")
+    assert len(rep.residual_estimates) == rep.iterations + 1
+    if rep.converged:
+        assert caught == []
+        assert true_residual(eq, x) <= cfg.tol
 
 
 def plateau_config(method="ss_mr", maxit=40):
@@ -388,26 +413,6 @@ def test_stop_does_not_depend_on_rounding():
             _, rep = solve(scaled, cfg)
         stops.add((rep.status, rep.iterations))
     assert len(stops) == 1
-
-
-def test_redraw_pass_does_not_count_towards_the_stop(monkeypatch):
-    eq = build_convdiff(ConvDiffSpec(n=64, eps=0.1))
-    with pytest.warns(RuntimeWarning, match="residual estimate stopped falling"):
-        _, clean = solve(eq, plateau_config())
-    # Under ss_mr the k-th projected solve is the step of pass k. The step of
-    # the first pass that did not improve vanishes, so that pass only
-    # redraws, right after an improving one: counted, it would stop the
-    # solve one recorded pass early.
-    first_flat = clean.iterations - mteq.solver.PLATEAU_PASSES + 1
-    vanish_step(monkeypatch, first_flat)
-    with pytest.warns(RuntimeWarning) as caught:
-        _, rep = solve(eq, plateau_config())
-    messages = [str(w.message) for w in caught]
-    assert sum("redrawing the direction" in m for m in messages) == 1
-    assert sum("residual estimate stopped falling" in m for m in messages) == 1
-    assert rep.status == "stagnated"
-    assert rep.residual_estimates[:first_flat] == clean.residual_estimates[:first_flat]
-    assert rep.iterations >= clean.iterations
 
 
 @pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
@@ -748,10 +753,14 @@ def test_sketched_stop_is_certified_by_the_true_residual():
     # residual does not, and the solve goes on to a tightened target.
     eq = build_convdiff(ConvDiffSpec(n=512, eps=0.1))
     cfg = dataclasses.replace(convdiff_config("ss_mr", maxit=50), sketch_seed=3)
-    with pytest.warns(RuntimeWarning, match=r"^residual estimate 9\.766e-07 passed tol but "
-                                            r"the true residual 1\.041e-06 did not") as caught:
+    with pytest.warns(RuntimeWarning, match="passed tol but") as caught:
         x, rep = solve(eq, cfg)
     assert len(caught) == 1
+    # The estimate's fourth digit moves with the BLAS kernel (9.766e-07 or
+    # 9.765e-07), so it is read from the report rather than pinned.
+    estimate = rep.residual_estimates[2] / rep.rhs_norm
+    assert str(caught[0].message).startswith(
+        f"residual estimate {estimate:.3e} passed tol but the true residual 1.041e-06 did not")
     assert rep.sketch_mode == "two_sided"
     assert (rep.status, rep.iterations) == ("converged", 3)
     assert true_residual(eq, x) <= cfg.tol
