@@ -198,9 +198,9 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     Returns the truncated matrix (diagonal core; orthonormal factors when
     both sides are exact) and the full singular-value vector of the
     compressed core, whose norm is then the norm of the input. Raises
-    :class:`NonFiniteError` when a factor, the compressed core product or
-    its singular values, which can overflow on finite factors, hold inf or
-    NaN.
+    :class:`NonFiniteError` when a factor holds inf or NaN, and with one
+    message when the core product or its singular values do: which of the
+    two overflows first on finite factors depends on rounding.
     """
     n_rows, n_cols = left.shape[0], right.shape[0]
     if left.shape[1] == 0 or right.shape[1] == 0:
@@ -209,10 +209,10 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     r_r, to_right = sides[1] or householder_qr(right)
     small = r_l @ core @ r_r.T
     if not np.isfinite(small).all():
-        raise NonFiniteError("the compressed core product holds inf or NaN")
+        raise NonFiniteError("the compressed core is not finite")
     u, sigma, vt = sla.svd(small, full_matrices=False)
     if not np.isfinite(sigma).all():  # a finite product can have an overflowing norm
-        raise NonFiniteError("the singular values of the compressed core overflow")
+        raise NonFiniteError("the compressed core is not finite")
     rank = select_rank(sigma, cfg)
     if rank == 0:
         return LowRankMatrix.zeros(n_rows, n_cols), sigma

@@ -17,15 +17,20 @@ import scipy.sparse as sp
 from .lowrank import LowRankMatrix, ShapeError
 
 
-def _check_square(m, name: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {m.shape}")
-
-
 def _check_finite(m, name: str) -> None:
     values = m.data if sp.issparse(m) else np.asarray(m)
     if not np.isfinite(values).all():
         raise ValueError(f"{name} has non-finite entries (inf or NaN)")
+
+
+def _coefficient(m, name: str):
+    """A checked coefficient, CSR if sparse. The shape is checked first, so
+    a malformed sparse coefficient is named before ``tocsr`` sees it."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{name} must be square, got shape {m.shape}")
+    m = m.tocsr() if sp.issparse(m) else m
+    _check_finite(m, name)
+    return m
 
 
 @dataclass(frozen=True)
@@ -34,9 +39,11 @@ class MultitermEquation:
 
     ``terms`` is a list of ``p >= 1`` pairs of square matrices (sparse or
     dense); all left coefficients share the dimension ``n_A`` and all right
-    coefficients share ``n_B``. ``C`` is ``n_A x q`` and ``D`` is
-    ``n_B x q`` with small ``q``. A ``ValueError`` naming the factor is
-    raised when any stored entry is infinite or NaN.
+    coefficients share ``n_B``. A sparse coefficient is stored as CSR, the
+    format every product and factorization runs on (a CSR one as the same
+    object); a dense one stays dense and keeps its BLAS products. ``C`` is
+    ``n_A x q`` and ``D`` is ``n_B x q`` with small ``q``. A ``ValueError``
+    naming the factor is raised when any stored entry is infinite or NaN.
     """
 
     terms: tuple
@@ -44,7 +51,8 @@ class MultitermEquation:
     D: np.ndarray
 
     def __post_init__(self):
-        terms = tuple((a, b) for a, b in self.terms)
+        terms = tuple((_coefficient(a, f"A_{i + 1}"), _coefficient(b, f"B_{i + 1}"))
+                      for i, (a, b) in enumerate(self.terms))
         if len(terms) < 1:
             raise ValueError("at least one coefficient pair is required")
         object.__setattr__(self, "terms", terms)
@@ -53,10 +61,6 @@ class MultitermEquation:
         n_a = terms[0][0].shape[0]
         n_b = terms[0][1].shape[0]
         for i, (a, b) in enumerate(terms):
-            _check_square(a, f"A_{i + 1}")
-            _check_square(b, f"B_{i + 1}")
-            _check_finite(a, f"A_{i + 1}")
-            _check_finite(b, f"B_{i + 1}")
             if a.shape[0] != n_a or b.shape[0] != n_b:
                 raise ShapeError(
                     f"term {i + 1} has shapes {a.shape}, {b.shape}; expected "

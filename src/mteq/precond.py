@@ -244,10 +244,9 @@ def _shifted(name: str, shift: float) -> str:
 
 
 def _identity_deviation(matrix) -> float:
-    """Largest absolute entry of ``matrix - I``, taken in CSR: a DIA, LIL or
-    DOK matrix has no ``max``."""
-    csr = sp.csr_matrix(matrix)
-    return float(abs(csr - sp.identity(csr.shape[0], format="csr")).max())
+    """Largest absolute entry of ``matrix - I``. A CSR identity gives every
+    difference a ``max``; a DIA one, ``sp.identity``'s default, need not."""
+    return float(abs(matrix - sp.identity(matrix.shape[0], format="csr")).max())
 
 
 class NonePreconditioner:

@@ -81,13 +81,6 @@ def build_convdiff(spec: ConvDiffSpec) -> MultitermEquation:
     phi2 = sp.diags(-2.0 * nodes)
     psi2 = sp.diags(1.0 - nodes**2)
 
-    a1 = (spec.eps * second).tocsr()
-    b2 = (spec.eps * second).tocsr()
-    a3 = (phi1 @ first).tocsr()
-    b3 = psi1.tocsr()
-    a4 = phi2.tocsr()
-    b4 = (first.T @ psi2).tocsr()
-
     ones = np.ones(n_int)
     e_first = np.zeros(n_int)
     e_first[0] = 1.0
@@ -101,7 +94,9 @@ def build_convdiff(spec: ConvDiffSpec) -> MultitermEquation:
     d = np.column_stack([ones, lift])
 
     return MultitermEquation(
-        terms=[(a1, eye), (eye, b2), (a3, b3), (a4, b4)], C=c, D=d
+        terms=[(spec.eps * second, eye), (eye, spec.eps * second),
+               (phi1 @ first, psi1), (phi2, first.T @ psi2)],
+        C=c, D=d,
     )
 
 
@@ -116,7 +111,7 @@ def _read_matrix(path: Path):
         m = mmread(path)
     except ValueError as exc:
         raise ManifestError(f"{path}: failed to parse: {exc}") from exc
-    return m.tocsr() if sp.issparse(m) else np.asarray(m, dtype=float)
+    return m if sp.issparse(m) else np.asarray(m, dtype=float)
 
 
 def save_manifest(eq: MultitermEquation, directory) -> Path:

@@ -40,6 +40,41 @@ def random_posdef_equation(rng, n_a, n_b, p, q, nonsym=0.15):
     return MultitermEquation(terms=terms, C=c, D=d)
 
 
+def manufactured_equation(rng, n_a, n_b, p, nonsym=0.5):
+    """Equation with the known solution ``X* = X_l @ X_r.T``; returns ``(eq, X*)``.
+
+    Terms 0 and 1 are ``(A, I)`` and ``(I, B)`` with symmetric tridiagonal
+    ``A`` and ``B`` whose diagonals lie in ``[3, 5]`` and off-diagonals are
+    ``-1``, so both are positive definite with every eigenvalue above 1.
+    Each of the ``p - 2`` further terms is a pair of random nonsymmetric
+    matrices of spectral norm ``nonsym``, small against that margin.
+    ``C = [A_1 X_l, ..., A_p X_l]`` and ``D = [B_1.T X_r, ..., B_p.T X_r]``,
+    so ``C @ D.T = L(X*)``. ``X*`` has full rank ``min(n_a, n_b)``: at a
+    lower rank ``k`` with ``p k <= min(n_a, n_b)`` the range of ``C @ D.T``
+    would be that of ``C``, which holds ``X_l`` (term 1's ``A`` is ``I``),
+    and the first step would find ``X*`` exactly.
+    """
+    def definite(n):
+        return sp.diags([-np.ones(n - 1), rng.uniform(3.0, 5.0, n), -np.ones(n - 1)],
+                        [-1, 0, 1], shape=(n, n), format="csr")
+
+    terms = [(definite(n_a), sp.identity(n_b, format="csr")),
+             (sp.identity(n_a, format="csr"), definite(n_b))]
+    terms += [(sp.csr_matrix(perturbation(rng, n_a, nonsym)),
+               sp.csr_matrix(perturbation(rng, n_b, nonsym))) for _ in range(p - 2)]
+    k = min(n_a, n_b)
+    x_l, x_r = rng.standard_normal((n_a, k)), rng.standard_normal((n_b, k))
+    c = np.hstack([a @ x_l for a, _ in terms])
+    d = np.hstack([b.T @ x_r for _, b in terms])
+    return MultitermEquation(terms=terms, C=c, D=d), x_l @ x_r.T
+
+
+def transposed(eq):
+    """The equation ``L(X).T = D @ C.T`` for ``X.T``: every ``(A_i, B_i)``
+    becomes ``(B_i.T, A_i.T)`` and ``C`` and ``D`` swap."""
+    return MultitermEquation(terms=[(b.T, a.T) for a, b in eq.terms], C=eq.D, D=eq.C)
+
+
 def random_lowrank(rng, n_rows, n_cols, rank):
     """Random factored matrix of the given width."""
     return LowRankMatrix(

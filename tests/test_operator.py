@@ -5,12 +5,18 @@ import pytest
 import scipy.sparse as sp
 
 from mteq import (
+    ConvDiffSpec,
     LowRankMatrix,
     MultitermEquation,
+    PreconditionerSpec,
     ShapeError,
+    SolverConfig,
     apply_L,
     apply_Lstar,
+    build_convdiff,
     residual_factored,
+    solve,
+    true_residual,
 )
 from mteq.oracle import assemble_kron, direct_solve
 
@@ -203,10 +209,38 @@ def test_shape_mismatch_raises():
 
 @pytest.mark.parametrize(("a", "c", "message"), [
     (sp.csr_matrix(np.ones((4, 3))), np.ones((4, 1)), r"A_1 must be square, got shape \(4, 3\)"),
+    (sp.coo_array(np.ones(4)), np.ones((4, 1)), r"A_1 must be square, got shape \(4,\)"),
     (sp.identity(4, format="csr"), np.ones((5, 1)),
      r"right-hand-side factors have shapes \(5, 1\), \(4, 1\); expected leading "
      r"dimensions 4, 4"),
-], ids=["non-square-coefficient", "rhs-rows"])
+], ids=["non-square-coefficient", "one-dimensional-sparse-coefficient", "rhs-rows"])
 def test_nonconforming_equation_names_the_factor(a, c, message):
     with pytest.raises(ShapeError, match=message):
         MultitermEquation(terms=[(a, sp.identity(4, format="csr"))], C=c, D=np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "bsr", "dia", "lil", "dok", "dense"])
+def test_every_coefficient_format_solves_like_csr(fmt):
+    # A LIL coefficient raised TypeError and a DOK one AttributeError from
+    # the finiteness check, which read their entries as if they were CSR.
+    csr = build_convdiff(ConvDiffSpec(n=34, eps=0.1))
+    terms = [tuple(m.toarray() if fmt == "dense" else m.asformat(fmt) for m in pair)
+             for pair in csr.terms]
+    eq = MultitermEquation(terms=terms, C=csr.C, D=csr.D)
+    for given, stored in zip(sum(terms, ()), sum(eq.terms, ())):
+        if fmt == "dense":
+            assert stored is given
+        else:
+            assert stored.format == "csr"
+            assert (stored is given) == (fmt == "csr")
+    cfg = SolverConfig(method="ss_gcr1", tol=1e-8, preconditioner=PreconditionerSpec.two_term_adi(
+        indices=(0, 1), shift_source="analytic_laplacian"))
+    x_ref, ref = solve(csr, cfg)
+    x, rep = solve(eq, cfg)
+    assert (rep.status, rep.iterations) == (ref.status, ref.iterations)
+    if fmt == "dense":  # BLAS products round differently: a rank at the cutoff may move
+        assert true_residual(eq, x) <= cfg.tol
+    else:  # the same CSR arrays, so the same arithmetic
+        assert rep.ranks == ref.ranks
+        assert rep.residual_estimates == ref.residual_estimates
+        assert true_residual(eq, x) == true_residual(csr, x_ref)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from mteq.operator import residual_factored
 from mteq.oracle import assemble_kron, direct_solve, spectral_quantities
 
 from conftest import (
+    manufactured_equation,
     overflow_step,
     overflowing_beta_convdiff,
     overflowing_convdiff,
@@ -38,6 +40,7 @@ from conftest import (
     random_lowrank,
     random_posdef_equation,
     scaled_rhs_convdiff,
+    transposed,
     vanish_first_steps,
 )
 
@@ -341,12 +344,11 @@ def thin_convdiff(shape):
     mirrored on its first row, 1 x 64. In both, term 0 is the diffusion along
     the rows and term 1 along the columns."""
     eq = build_convdiff(ConvDiffSpec(n=66, eps=0.1))
-    terms = [(a, b[:1, :1]) for a, b in eq.terms]
+    column = MultitermEquation(terms=[(a, b[:1, :1]) for a, b in eq.terms], C=eq.C, D=eq.D[:1])
     if shape == (64, 1):
-        return MultitermEquation(terms=terms, C=eq.C, D=eq.D[:1])
-    mirrored = [(b.T, a.T) for a, b in terms]
-    mirrored[:2] = mirrored[1::-1]
-    return MultitermEquation(terms=mirrored, C=eq.D[:1], D=eq.C)
+        return column
+    row = transposed(column)
+    return MultitermEquation(terms=[*row.terms[1::-1], *row.terms[2:]], C=row.C, D=row.D)
 
 
 @pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
@@ -367,6 +369,48 @@ def test_a_side_of_one_solves_under_every_preconditioner(shape, spec):
     if rep.converged:
         assert caught == []
         assert true_residual(eq, x) <= cfg.tol
+
+
+def solve_quietly(eq, cfg):
+    """``solve``, with any warning it raises recorded instead of failing the test."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        return solve(eq, cfg)
+
+
+@functools.cache
+def manufactured(shape, p):
+    """The manufactured equation of ``shape`` and ``p`` terms, its solution
+    ``X*`` and the smallest singular value of its operator."""
+    eq, x_star = manufactured_equation(np.random.default_rng(shape[0] + 3 * p), *shape, p)
+    return eq, x_star, np.linalg.svd(assemble_kron(eq).matrix, compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+@pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
+                                  PreconditionerSpec.two_term_adi()],
+                         ids=["none", "one_term-0", "two_term_adi"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(64, 1), (1, 64), (40, 12), (12, 40)],
+                         ids=["64x1", "1x64", "40x12", "12x40"])
+def test_manufactured_solution_is_recovered(shape, p, spec, method):
+    # No iteration count or rank is pinned: they may move with the BLAS kernel.
+    eq, x_star, sigma_min = manufactured(shape, p)
+    cfg = SolverConfig(method=method, tol=1e-8, maxit=40, sketch_seed=7, preconditioner=spec,
+                       truncation=TruncationConfig(maxrank=20))
+    x, rep = solve_quietly(eq, cfg)
+    assert rep.status in ("converged", "maxit_reached", "stagnated", "breakdown")
+    res = true_residual(eq, x)
+    if rep.converged:
+        assert res <= cfg.tol
+    # ||X - X*|| <= ||L^{-1}|| ||L(X) - C D^T||, and ||L^{-1}|| = 1 / sigma_min(L).
+    assert (np.linalg.norm(x.densify() - x_star)
+            <= 1.01 * res * eq.rhs_norm() / sigma_min)
+
+    # Transposed, a two-term pair's row and column terms swap; one term keeps its index.
+    mirrored = dataclasses.replace(spec, indices=spec.indices[::-1])
+    _, rep_t = solve_quietly(transposed(eq), dataclasses.replace(cfg, preconditioner=mirrored))
+    assert rep_t.status == rep.status
 
 
 def plateau_config(method="ss_mr", maxit=40):
@@ -628,22 +672,48 @@ def test_overflow_breakdown_warns_once(monkeypatch, build, method, message, thre
     assert [str(w.message).split(" is not finite")[0] for w in caught] == [message]
 
 
-@pytest.mark.parametrize(("build", "method", "coeff", "pcg_iters"), [
-    (overflowing_kron_convdiff, "ss_mr", "alpha", []),
-    (overflowing_beta_convdiff, "ss_gcr1", "beta", [(1, 4)]),
+def record_pcg_iterates(monkeypatch):
+    """Record, per call of the ``cg`` that :mod:`mteq.reduced` runs, whether
+    each iterate scipy hands to the callback is finite."""
+    cg, calls = mteq.reduced.spla.cg, []
+
+    def recording(*args, callback, **kwargs):
+        finite = []
+        calls.append(finite)
+
+        def record(iterate):
+            finite.append(bool(np.isfinite(iterate).all()))
+            callback(iterate)
+
+        return cg(*args, callback=record, **kwargs)
+
+    monkeypatch.setattr(mteq.reduced.spla, "cg", recording)
+    return calls
+
+
+@pytest.mark.parametrize(("build", "method", "coeff"), [
+    (overflowing_kron_convdiff, "ss_mr", "alpha"),
+    (overflowing_beta_convdiff, "ss_gcr1", "beta"),
 ], ids=["kronecker-sum", "beta-rhs"])
 def test_overflowing_pcg_projected_solve_stops_at_its_first_step(monkeypatch, build,
-                                                                 method, coeff, pcg_iters):
+                                                                 method, coeff):
     # Inner PCG ran all PCG_MAXIT (200) iterations on NaN first. A step that
     # breaks down leaves its pass out; a direction that does still counts the
-    # one PCG step of its beta solve next to alpha's 4 (it read [(4, 4)]).
+    # PCG steps of its beta solve next to alpha's (it read alpha's twice).
+    # Which iterate overflows first depends on the BLAS kernel.
     monkeypatch.setattr(mteq.reduced, "DIRECT_THRESHOLD", 1)
-    with pytest.warns(RuntimeWarning, match=rf"^step coefficient {coeff} is not finite "
-                                            r"\(inner PCG iterate 1 is not finite\)"):
+    calls = record_pcg_iterates(monkeypatch)
+    with pytest.warns(RuntimeWarning) as caught:
         _, rep = solve(build(), SolverConfig(method=method, tol=1e-8, maxit=20))
     assert rep.status == "breakdown"
-    assert all(entry is None or entry[1] < 200 for entry in rep.inner_pcg_iters)
-    assert rep.inner_pcg_iters == pcg_iters
+    *earlier, last = calls
+    assert all(all(finite) for finite in earlier)
+    assert last[-1] is False and all(last[:-1])
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(
+        f"step coefficient {coeff} is not finite (inner PCG iterate {len(last)} is not finite)")
+    steps = [len(finite) for finite in calls]
+    assert rep.inner_pcg_iters == ([] if coeff == "alpha" else [(min(steps), max(steps))])
 
 
 def test_a_stage_that_breaks_down_still_counts_its_time():
@@ -661,9 +731,10 @@ def test_overflowing_beta_equation_solves_under_ss_mr():
 
 
 @pytest.mark.parametrize(("method", "call", "message", "iterations"), [
-    ("ss_mr", 1, r"updated iterate is not finite \(the singular values", 0),
-    ("ss_mr", 2, r"updated iterate is not finite \(the compressed core product", 1),
-    ("ss_gcr1", 2, r"recombined direction is not finite \(the compressed core product", 1),
+    ("ss_mr", 1, r"updated iterate is not finite \(the compressed core is not finite\)", 0),
+    ("ss_mr", 2, r"updated iterate is not finite \(the compressed core is not finite\)", 1),
+    ("ss_gcr1", 2, r"recombined direction is not finite \(the compressed core is not finite\)",
+     1),
 ], ids=["ss_mr-alpha1", "ss_mr-alpha2", "ss_gcr1-beta1"])
 def test_overflowing_update_breaks_down(monkeypatch, method, call, message, iterations):
     # The second and third raised NonFiniteError out of solve. The first,
