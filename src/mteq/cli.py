@@ -1,11 +1,11 @@
 """Command-line front end: single solves, benchmark sweeps, verification.
 
-``mteq solve`` runs one solve and writes ``report.json`` plus a residual
-history CSV. ``mteq bench`` sweeps the convection-diffusion benchmark grid
-and emits a results table. ``mteq verify`` recomputes the true relative
-residual of a saved solution. Exit codes: 0 success, 2 configuration
-error, 3 non-convergence: ``maxit_reached``, ``stagnated`` or
-``breakdown`` (outputs are still written).
+``mteq solve`` runs one solve and writes ``report.json``. ``mteq bench``
+sweeps the convection-diffusion benchmark grid and emits a results table.
+``mteq verify`` recomputes the true relative residual of a saved
+solution. Exit codes: 0 success, 2 configuration error, 3
+non-convergence: ``maxit_reached``, ``stagnated`` or ``breakdown``
+(outputs are still written).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -149,14 +148,6 @@ def _build_config(args, p: int) -> SolverConfig:
     )
 
 
-def _write_history(path: Path, report) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "residual_estimate", "rank_x", "rank_r", "rank_p"])
-        for k, (est, ranks) in enumerate(zip(report.residual_estimates, report.ranks)):
-            writer.writerow([k, f"{est:.16e}", *ranks])
-
-
 def _cmd_solve(args) -> int:
     eq, descriptor = _build_problem(args)
     cfg = _build_config(args, eq.p)
@@ -172,13 +163,12 @@ def _cmd_solve(args) -> int:
     payload = {
         "problem": descriptor,
         "config": asdict(cfg),
-        "result": report.as_dict() | {"true_final_residual": res},
+        "result": asdict(report) | {"true_final_residual": res},
         "versions": {"mteq": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "blas": blas,
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=2))
-    _write_history(out_dir / "history.csv", report)
     if args.save_solution is not None:
         np.savez(args.save_solution, left=x.left, core=x.core, right=x.right)
 
@@ -203,9 +193,7 @@ def _bench_case(case) -> dict:
     ])
     eq, _ = _build_problem(args)
     cfg = _build_config(args, eq.p)
-    t0 = time.perf_counter()
     x, report = solve(eq, cfg)
-    elapsed = time.perf_counter() - t0
     pcg = [t for t in report.inner_pcg_iters if t is not None]
     return {
         "n": n,
@@ -216,7 +204,7 @@ def _bench_case(case) -> dict:
         "pcg_min": min(t[0] for t in pcg) if pcg else None,
         "pcg_max": max(t[1] for t in pcg) if pcg else None,
         "res": true_residual(eq, x),
-        "time": elapsed,
+        "time": report.wall_times["total"],
         "status": report.status,
     }
 
@@ -277,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_solve)
     _add_solver_flags(p_solve)
     p_solve.add_argument("--out-dir", type=Path, default=Path("."),
-                         help="directory for report.json and history.csv")
+                         help="directory for report.json")
     p_solve.add_argument("--save-solution", type=Path, default=None,
                          help="write the factored solution to this .npz file")
     p_solve.set_defaults(func=_cmd_solve)

@@ -33,6 +33,12 @@ def _coefficient(m, name: str):
     return m
 
 
+def _rhs_factor(m) -> np.ndarray:
+    """A right-hand-side factor as a dense float array. It has only ``q``
+    columns, so a sparse one costs little to densify."""
+    return np.atleast_2d(np.asarray(m.toarray() if sp.issparse(m) else m, dtype=float))
+
+
 @dataclass(frozen=True)
 class MultitermEquation:
     """Coefficient pairs ``(A_i, B_i)`` and right-hand-side factors ``C, D``.
@@ -42,7 +48,8 @@ class MultitermEquation:
     coefficients share ``n_B``. A sparse coefficient is stored as CSR, the
     format every product and factorization runs on (a CSR one as the same
     object); a dense one stays dense and keeps its BLAS products. ``C`` is
-    ``n_A x q`` and ``D`` is ``n_B x q`` with small ``q``. A ``ValueError``
+    ``n_A x q`` and ``D`` is ``n_B x q`` with small ``q``, dense or sparse
+    on entry and stored as dense float arrays. A ``ValueError``
     naming the factor is raised when any stored entry is infinite or NaN.
     """
 
@@ -56,8 +63,8 @@ class MultitermEquation:
         if len(terms) < 1:
             raise ValueError("at least one coefficient pair is required")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "C", np.atleast_2d(np.asarray(self.C, dtype=float)))
-        object.__setattr__(self, "D", np.atleast_2d(np.asarray(self.D, dtype=float)))
+        object.__setattr__(self, "C", _rhs_factor(self.C))
+        object.__setattr__(self, "D", _rhs_factor(self.D))
         n_a = terms[0][0].shape[0]
         n_b = terms[0][1].shape[0]
         for i, (a, b) in enumerate(terms):

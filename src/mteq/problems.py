@@ -184,17 +184,19 @@ def load_manifest(path) -> MultitermEquation:
                 f"{base / b_rel}: expected shape ({n_b}, {n_b}), got {b.shape}"
             )
         terms.append((a, b))
-    c = np.asarray(_read_matrix(base / c_path), dtype=float)
-    d = np.asarray(_read_matrix(base / d_path), dtype=float)
+    c = _read_matrix(base / c_path)
+    d = _read_matrix(base / d_path)
     for name, factor, rows in (("C", c, n_a), ("D", d, n_b)):
         if factor.shape != (rows, q):
             raise ManifestError(
                 f"{path}: {name} has shape {factor.shape}, expected ({rows}, {q})"
             )
+    eq = MultitermEquation(terms=terms, C=c, D=d)
+    for name, factor in (("C", eq.C), ("D", eq.D)):
         svals = np.linalg.svd(factor, compute_uv=False)
         if svals.size and svals[-1] <= 1e-12 * svals[0]:
             warnings.warn(
                 f"right-hand-side factor {name} is numerically rank deficient",
                 RuntimeWarning,
             )
-    return MultitermEquation(terms=terms, C=c, D=d)
+    return eq

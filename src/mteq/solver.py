@@ -24,7 +24,7 @@ import numbers
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class SolveReport:
     returned iterate is :func:`true_residual`'s.
     """
 
-    method: str
     status: str = "maxit_reached"
     iterations: int = 0
     residual_estimates: list[float] = field(default_factory=list)
@@ -112,10 +111,6 @@ class SolveReport:
     @property
     def final_rank(self) -> int:
         return self.ranks[-1][0] if self.ranks else 0
-
-    def as_dict(self) -> dict:
-        """Every field, in declaration order, then ``final_rank``."""
-        return asdict(self) | {"final_rank": self.final_rank}
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def solve(
         )
     times: dict[str, float] = {}
     t_start = time.perf_counter()
-    report = SolveReport(method=cfg.method)
+    report = SolveReport()
 
     x = x0 if x0 is not None else LowRankMatrix.zeros(eq.n_A, eq.n_B)
     rhs_norm = eq.rhs_norm()

@@ -15,7 +15,7 @@ from mteq import (ConvDiffSpec, InnerSolveConfig, MultitermEquation, Preconditio
                   SolverConfig, TruncationConfig, build_convdiff, save_manifest)
 from mteq.cli import _build_config, build_parser, main
 
-from conftest import (overflowing_beta_convdiff, overflowing_convdiff,
+from conftest import (manufactured_equation, overflowing_beta_convdiff, overflowing_convdiff,
                       overflowing_kron_convdiff, overflowing_rhs_convdiff, poison_preconditioner,
                       poison_step, scaled_rhs_convdiff)
 
@@ -46,6 +46,7 @@ def config_from_report(config: dict) -> SolverConfig:
 
 
 def test_solve_writes_report_and_history(tmp_path):
+    # The per-iteration history is report.json's own lists, not a second file.
     assert run_solve(tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"]["status"] == "converged"
@@ -57,10 +58,11 @@ def test_solve_writes_report_and_history(tmp_path):
     assert report["result"]["sketch_mode"] == "exact"
     assert report["result"]["sketch_dim"] == 2 * (4 * 20 + 2)
     assert report["result"]["sketch_n_fft"] == [None, None]
-    with open(tmp_path / "history.csv") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["k", "residual_estimate", "rank_x", "rank_r", "rank_p"]
-    assert len(rows) - 1 == report["result"]["iterations"] + 1
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+    result = report["result"]
+    assert len(result["residual_estimates"]) == result["iterations"] + 1
+    assert len(result["ranks"]) == result["iterations"] + 1
+    assert all(len(triple) == 3 for triple in result["ranks"])
 
 
 @pytest.mark.parametrize(("extra", "preconditioner"), [
@@ -135,7 +137,7 @@ def test_overflowing_projected_system_exits_3_but_writes_report(tmp_path):
     assert result["status"] == "breakdown"
     assert result["iterations"] == 0
     assert result["true_final_residual"] == pytest.approx(1.0)
-    assert (tmp_path / "history.csv").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["eq", "report.json"]
 
 
 @pytest.mark.parametrize(("build", "message", "iterations"), [
@@ -165,7 +167,7 @@ def test_non_finite_preconditioner_output_exits_3_but_writes_report(tmp_path, mo
     assert result["status"] == "breakdown"
     assert result["iterations"] == 1
     assert np.isfinite(result["true_final_residual"])
-    assert (tmp_path / "history.csv").exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_too_stiff_adi_hull_exits_2(tmp_path, capsys):
@@ -424,6 +426,18 @@ def test_manifest_source_requires_path(tmp_path, capsys):
     code = main(["solve", "--problem", "manifest", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precond", ["none", "one-term", "two-term-adi"])
+@pytest.mark.parametrize("shape", [(64, 1), (1, 64), (4096, 8)], ids=["64x1", "1x64", "4096x8"])
+def test_manufactured_equation_solves_through_a_manifest(tmp_path, shape, precond):
+    eq, _ = manufactured_equation(np.random.default_rng(shape[0] + 6), *shape, 2)
+    manifest = save_manifest(eq, tmp_path / "eq")
+    code = main(["solve", "--problem", "manifest", "--manifest", str(manifest),
+                 "--tol", "1e-8", "--maxrank", "20", "--precond", precond,
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["status"] == "converged"
 
 
 def test_benchmark_invocation_at_full_size(tmp_path):

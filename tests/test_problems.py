@@ -5,13 +5,19 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 from mteq import (
     ConvDiffSpec,
     MultitermEquation,
+    PreconditionerSpec,
+    SolverConfig,
+    TruncationConfig,
     build_convdiff,
     load_manifest,
     save_manifest,
+    solve,
+    true_residual,
 )
 from mteq.oracle import assemble_kron, direct_solve
 from mteq.problems import ManifestError
@@ -179,6 +185,32 @@ def test_missing_manifest_key_rejected(tmp_path):
     manifest.write_text(json.dumps(data))
     with pytest.raises(ManifestError, match="missing"):
         load_manifest(manifest)
+
+
+def test_sparse_right_hand_side_factors_are_stored_dense(tmp_path):
+    # Each of these raised "setting an array element with a sequence."
+    eq = build_convdiff(ConvDiffSpec(n=10, eps=0.1))
+    manifest = save_manifest(eq, tmp_path / "eq")
+    array_format = load_manifest(manifest)
+    mmwrite(manifest.parent / "C.mtx", sp.coo_matrix(eq.C), precision=17)
+    coordinate_format = load_manifest(manifest)
+    assert type(coordinate_format.C) is np.ndarray
+    np.testing.assert_array_equal(coordinate_format.C, eq.C)
+
+    cfg = SolverConfig(tol=1e-8, sketch_seed=7, truncation=TruncationConfig(maxrank=20),
+                       preconditioner=PreconditionerSpec.two_term_adi(
+                           shift_source="analytic_laplacian"))
+
+    def outcome(equation):
+        x, rep = solve(equation, cfg)
+        return rep.status, rep.iterations, rep.ranks, true_residual(equation, x)
+
+    want = outcome(array_format)
+    assert want[0] == "converged"
+    assert outcome(coordinate_format) == want
+    assert outcome(MultitermEquation(eq.terms, C=sp.csr_matrix(eq.C), D=eq.D)) == want
+    assert outcome(MultitermEquation(eq.terms, C=sp.coo_array(eq.C),
+                                     D=sp.coo_array(eq.D))) == want
 
 
 def test_rank_deficient_rhs_warns(tmp_path):

@@ -211,9 +211,6 @@ def test_report_lengths_consistent():
     assert len(rep.ranks) == rep.iterations + 1
     assert len(rep.inner_pcg_iters) == rep.iterations
     assert rep.wall_times["total"] > 0
-    result = rep.as_dict()
-    assert list(result) == [f.name for f in dataclasses.fields(rep)] + ["final_rank"]
-    assert result["status"] == rep.status and result["final_rank"] == rep.final_rank
 
 
 def test_nonzero_initial_guess():
@@ -390,7 +387,7 @@ def manufactured(shape, p):
 @pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
                                   PreconditionerSpec.two_term_adi()],
                          ids=["none", "one_term-0", "two_term_adi"])
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (40, 12), (12, 40)],
                          ids=["64x1", "1x64", "40x12", "12x40"])
 def test_manufactured_solution_is_recovered(shape, p, spec, method):
@@ -411,6 +408,31 @@ def test_manufactured_solution_is_recovered(shape, p, spec, method):
     mirrored = dataclasses.replace(spec, indices=spec.indices[::-1])
     _, rep_t = solve_quietly(transposed(eq), dataclasses.replace(cfg, preconditioner=mirrored))
     assert rep_t.status == rep.status
+
+
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+@pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
+                                  PreconditionerSpec.two_term_adi()],
+                         ids=["none", "one_term-0", "two_term_adi"])
+@pytest.mark.parametrize("shape", [(4096, 1), (1, 4096), (4096, 8), (8, 4096)],
+                         ids=["4096x1", "1x4096", "4096x8", "8x4096"])
+def test_manufactured_equation_of_extreme_shape_solves(shape, spec, method):
+    # The dense oracle refuses these sizes, so the forward error goes unchecked.
+    # Only the row side is ever sketched: the equation with 4096 rows runs
+    # left_only and its transpose exact.
+    eq, _ = manufactured_equation(np.random.default_rng(shape[0] + 6), *shape, 2)
+    cfg = SolverConfig(method=method, tol=1e-8, maxit=40, sketch_seed=7, preconditioner=spec,
+                       truncation=TruncationConfig(maxrank=20))
+    x, rep = solve_quietly(eq, cfg)
+    assert rep.status in ("converged", "maxit_reached", "stagnated", "breakdown")
+    if rep.converged:
+        assert true_residual(eq, x) <= cfg.tol
+    mirrored = dataclasses.replace(spec, indices=spec.indices[::-1])
+    _, rep_t = solve_quietly(transposed(eq), dataclasses.replace(cfg, preconditioner=mirrored))
+    assert rep_t.status == rep.status
+    tall = shape[0] == 4096
+    assert (rep.sketch_mode, rep_t.sketch_mode) == (("left_only", "exact") if tall
+                                                    else ("exact", "left_only"))
 
 
 def plateau_config(method="ss_mr", maxit=40):
