@@ -47,7 +47,8 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    # Every default is the config dataclasses' own; names there use "_".
+    # Defaults are the config dataclasses' own (names there use "_"), except convdiff's
+    # --inner-precond-terms and --shift-source and the kind-wise --precond-terms.
     default = SolverConfig()
     group = parser.add_argument_group("solver")
     group.add_argument("--method", choices=("ss-mr", "ss-gcr1"),

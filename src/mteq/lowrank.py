@@ -102,8 +102,6 @@ class LowRankMatrix:
         """Factor a dense matrix through its SVD, dropping zero singular values."""
         dense = np.atleast_2d(np.asarray(dense, dtype=float))
         u, s, vt = sla.svd(dense, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls.zeros(*dense.shape)
         keep = int(np.count_nonzero(s))
         return cls(u[:, :keep], np.diag(s[:keep]), vt[:keep].T)
 
@@ -152,7 +150,7 @@ def select_rank(sigma: np.ndarray, cfg: TruncationConfig) -> int:
     Keeps the longest prefix with ``sigma_j / sigma_1 > toltrank``, capped
     at ``cfg.maxrank``. An all-zero spectrum keeps nothing.
     """
-    if sigma.size == 0 or sigma[0] <= 0.0:
+    if sigma.size == 0 or sigma[0] <= 0.0:  # no sigma_1 to divide by
         return 0
     keep = int(np.count_nonzero(sigma / sigma[0] > cfg.toltrank))
     return min(cfg.maxrank, keep)
@@ -171,7 +169,7 @@ def householder_qr(f: np.ndarray) -> tuple:
     if not np.isfinite(f).all():
         raise NonFiniteError("a factor holds inf or NaN")
     (n_rows, n_cols), k = f.shape, min(f.shape)
-    if k == 0:
+    if k == 0:  # LAPACK geqrt rejects an empty block
         return np.zeros((0, n_cols)), lambda u: np.zeros((n_rows, u.shape[1]))
     a, t, _ = dgeqrt(min(_QR_BLOCK, k), f)
     reflectors = a[:, :k]
@@ -202,9 +200,6 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     message when the core product or its singular values do: which of the
     two overflows first on finite factors depends on rounding.
     """
-    n_rows, n_cols = left.shape[0], right.shape[0]
-    if left.shape[1] == 0 or right.shape[1] == 0:
-        return LowRankMatrix.zeros(n_rows, n_cols), np.zeros(0)
     r_l, to_left = sides[0] or householder_qr(left)
     r_r, to_right = sides[1] or householder_qr(right)
     small = r_l @ core @ r_r.T
@@ -214,8 +209,8 @@ def truncated_svd(left: np.ndarray, core: np.ndarray, right: np.ndarray,
     if not np.isfinite(sigma).all():  # a finite product can have an overflowing norm
         raise NonFiniteError("the compressed core is not finite")
     rank = select_rank(sigma, cfg)
-    if rank == 0:
-        return LowRankMatrix.zeros(n_rows, n_cols), sigma
+    if rank == 0:  # the canonical zero; no kept vector is mapped through a side
+        return LowRankMatrix.zeros(left.shape[0], right.shape[0]), sigma
     out = LowRankMatrix(to_left(u[:, :rank]), np.diag(sigma[:rank]), to_right(vt[:rank].T))
     return out, sigma
 

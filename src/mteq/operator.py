@@ -113,9 +113,8 @@ def _stack(mats, v: np.ndarray, n: int, out: np.ndarray | None) -> np.ndarray:
     k = v.shape[1]
     if out is None:
         out = np.empty((n, len(mats) * k))
-    if k > 0:
-        for i, m in enumerate(mats):
-            out[:, i * k:(i + 1) * k] = m @ v
+    for i, m in enumerate(mats):
+        out[:, i * k:(i + 1) * k] = m @ v
     return out
 
 

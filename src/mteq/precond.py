@@ -271,7 +271,7 @@ class OneTermPreconditioner:
         self._lu_bt = _factor(b.T, f"{names[1]}^T")
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
-        if r.is_zero:
+        if r.is_zero:  # returned as itself, as NonePreconditioner returns it
             return r
         return LowRankMatrix(self._lu_a.solve(r.left), r.core, self._lu_bt.solve(r.right))
 
@@ -301,8 +301,6 @@ class TwoTermAdiPreconditioner:
                         for q in shifts]
 
     def apply(self, r: LowRankMatrix) -> LowRankMatrix:
-        if r.is_zero:
-            return LowRankMatrix.zeros(*r.shape)
         s, rank = self.shifts, r.core.shape[1]
         left = np.empty((r.shape[0], len(s) * rank), order="F")
         right = np.empty((r.shape[1], len(s) * rank), order="F")

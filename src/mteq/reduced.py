@@ -92,11 +92,11 @@ class ReducedSystem:
         qk = self.q_k
         path = "direct" if qk * qk < DIRECT_THRESHOLD else "pcg"
         inverse, regularized = None, False
-        if qk and path == "direct":
+        if path == "direct":
             solve, regularized = self._factor()
             inverse = lambda rhs: solve(  # noqa: E731
                 rhs.flatten(order="F")).reshape((qk, qk), order="F")
-        elif qk and self.cfg.inner_precond_terms is not None:
+        elif self.cfg.inner_precond_terms is not None:
             try:
                 inverse = _sylvester_inverse(self, self.cfg.inner_precond_terms)
             except np.linalg.LinAlgError:
@@ -114,8 +114,8 @@ class ReducedSystem:
 
     def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """Both tables as ``stack[a, i*p + j, c] = grams[i, j, a, c]``."""
-        qk = self.q_k
-        return tuple(g.transpose(2, 0, 1, 3).reshape(qk, -1, qk)
+        qk, p = self.q_k, self.left_grams.shape[0]
+        return tuple(g.transpose(2, 0, 1, 3).reshape(qk, p * p, qk)
                      for g in (self.left_grams, self.right_grams))
 
     def assemble(self) -> np.ndarray:
@@ -149,7 +149,7 @@ class ReducedSystem:
         t = self.assemble()
         if not np.isfinite(t).all():
             raise FloatingPointError("assembled projected system is not finite")
-        floor = 1e-14 * np.trace(t) / (qk * qk)
+        floor = 1e-14 * np.trace(t) / max(qk * qk, 1)  # read before t is overwritten
         try:
             # t is symmetric: LAPACK factors its Fortran-ordered view in place.
             return _cholesky_solve(t.T, overwrite_a=True), False
@@ -201,12 +201,10 @@ def alpha_rhs(eq: MultitermEquation, p: LowRankMatrix, r: LowRankMatrix) -> np.n
     stacks ``G_l = R_l.T [A_1 P_l, ...]`` and
     ``G_r = core R_r.T [B_1.T P_r, ...]``.
     """
-    qk = p.left.shape[1]
-    if r.is_zero or qk == 0:
-        return np.zeros((qk, p.right.shape[1]))
+    shape = (eq.p * r.core.shape[0], p.left.shape[1])
     g_l = r.left.T @ left_stack(eq, p.left)
     g_r = r.core @ (r.right.T @ right_stack(eq, p.right))
-    return g_l.reshape(-1, qk).T @ g_r.reshape(-1, qk)
+    return g_l.reshape(shape).T @ g_r.reshape(shape)
 
 
 def beta_rhs(eq: MultitermEquation, p: LowRankMatrix, z: LowRankMatrix) -> np.ndarray:
@@ -277,9 +275,8 @@ def solve_reduced(sys: ReducedSystem, rhs: np.ndarray) -> tuple[np.ndarray, dict
     """
     qk = sys.q_k
     if sys.path == "direct":
-        coeff = sys._inverse(rhs) if qk else np.zeros((0, 0))
-        return coeff, {"path": "direct", "pcg_iters": None, "converged": True,
-                       "regularized": sys.regularized}
+        return sys._inverse(rhs), {"path": "direct", "pcg_iters": None, "converged": True,
+                                   "regularized": sys.regularized}
     e = int(np.frexp(sla.norm(rhs.ravel(), check_finite=False))[1])
     info = {"path": "pcg", "pcg_iters": 0, "converged": False, "regularized": False}
 

@@ -133,30 +133,27 @@ class IterationInfo:
 
 
 @contextmanager
-def _timer(times: dict, key: str):
+def _phase(times: dict, key: str, what: str | None = None):
+    """Add the block's wall time to ``times[key]``, also when it raises. Given
+    ``what``, re-raise a ``FloatingPointError`` as ``"{what} is not finite
+    (its message)"``, keeping the ``info`` of a projected solve that raised it."""
     start = time.perf_counter()
     try:
         yield
-    finally:  # a stage that breaks down still counts
-        times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
-
-
-@contextmanager
-def _stage(what: str):
-    """Re-raise a ``FloatingPointError`` as ``"{what} is not finite (its message)"``,
-    keeping the ``info`` of a projected solve that raised it."""
-    try:
-        yield
     except FloatingPointError as exc:
+        if what is None:
+            raise
         cause = f" ({exc})" if exc.args else ""
         err = FloatingPointError(f"{what} is not finite{cause}")
         err.info = getattr(exc, "info", {})
         raise err from exc
+    finally:
+        times[key] = times.get(key, 0.0) + (time.perf_counter() - start)
 
 
 def _require_finite(value) -> None:
     if not np.isfinite(value).all():
-        raise FloatingPointError  # the enclosing _stage names it
+        raise FloatingPointError  # the enclosing _phase names it
 
 
 @single_pool()
@@ -276,7 +273,7 @@ def solve(
 
     sample = functools.cache(functools.partial(gaussian_sample, cfg.sketch_seed))
 
-    with _timer(times, "precondition"):
+    with _phase(times, "precondition"):
         precond = build_preconditioner(eq, cfg.preconditioner)
 
     # Pass 0 has no direction yet: it only evaluates the initial residual
@@ -290,16 +287,16 @@ def solve(
         try:  # the step: a breakdown leaves the pass unrecorded
             x_next = x
             if k > 0:
-                with _timer(times, "reduced"):
+                with _phase(times, "reduced"):
                     sys = build_reduced(eq, p, cfg.inner)  # its errors name themselves
-                    with _stage("step coefficient alpha"):
-                        alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
-                        infos.append(info)
-                        _require_finite(alpha)
-                with _timer(times, "truncation"), _stage("updated iterate"):
+                with _phase(times, "reduced", "step coefficient alpha"):
+                    alpha, info = solve_reduced(sys, alpha_rhs(eq, p, r))
+                    infos.append(info)
+                    _require_finite(alpha)
+                with _phase(times, "truncation", "updated iterate"):
                     x_next = truncate(factored_sum(x, p, alpha), cfg.truncation)
 
-            with _timer(times, "sketch"), _stage("residual estimate"):
+            with _phase(times, "sketch", "residual estimate"):
                 r_next, estimate, residual = sketched_residual_truncate(
                     eq, x_next, s_a, s_b, cfg.truncation)
                 _require_finite(estimate)
@@ -319,7 +316,7 @@ def solve(
         # ratio the estimate was off.
         converged = estimate <= target
         if converged and s_a is not None:
-            with _timer(times, "sketch"):
+            with _phase(times, "sketch"):
                 exact = residual.norm_fro()
             converged = exact <= cfg.tol * rhs_norm
             if not converged:
@@ -350,16 +347,16 @@ def solve(
             )
         elif k < cfg.maxit:
             try:  # the direction: a breakdown records the pass, drawing none
-                with _timer(times, "precondition"):
+                with _phase(times, "precondition"):
                     z = precond.apply(r)
-                with _timer(times, "truncation"), _stage("preconditioned residual"):
+                with _phase(times, "truncation", "preconditioned residual"):
                     z = truncate(z, cfg.truncation, sample)
                 if cfg.method == "ss_gcr1" and k > 0:
-                    with _timer(times, "reduced"), _stage("step coefficient beta"):
+                    with _phase(times, "reduced", "step coefficient beta"):
                         beta, info = solve_reduced(sys, beta_rhs(eq, p, z))
                         infos.append(info)
                         _require_finite(beta)
-                    with _timer(times, "truncation"), _stage("recombined direction"):
+                    with _phase(times, "truncation", "recombined direction"):
                         z = truncate(factored_sum(z, p, beta), cfg.truncation)
                 p_next = z
             except FloatingPointError as exc:

@@ -386,3 +386,17 @@ def test_in_place_factorization_regularizes_a_singular_system(monkeypatch):
     again, info = solve_reduced(sys, rhs)
     assert np.array_equal(again, coeff)
     assert info["regularized"]
+
+
+def test_diagonal_floor_is_read_from_the_assembled_system():
+    # The failed in-place Cholesky overwrites the diagonal with its pivots;
+    # the floor must come from the trace of the matrix as assembled.
+    rng = np.random.default_rng(7)
+    eq = nonsymmetric_equation(rng, 10, 10, 2)
+    p_l = orthonormal(rng, 10, 3)
+    p_l[:, 2] = 0.0
+    p = direction(p_l, orthonormal(rng, 10, 3))
+    with pytest.warns(RuntimeWarning, match="diagonal floor") as record:
+        sys = build_reduced(eq, p)
+    floor = 1e-14 * np.trace(sys.assemble()) / sys.q_k**2
+    assert str(record[0].message).endswith(f"floor of {floor:.3e}")

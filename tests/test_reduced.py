@@ -88,6 +88,23 @@ def test_alpha_rhs_zero_residual():
     np.testing.assert_allclose(rhs, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("cfg", [InnerSolveConfig(), InnerSolveConfig((0, 1))],
+                         ids=["unpreconditioned", "inner-0-1"])
+def test_empty_direction_solves_for_an_empty_coefficient(cfg):
+    # Pass 0 of every solve holds a rank-0 direction; its system is 0 x 0.
+    rng = np.random.default_rng(5)
+    eq = random_posdef_equation(rng, 9, 9, 2, 1)
+    p = LowRankMatrix.zeros(9, 9)
+    sys = build_reduced(eq, p, cfg)
+    assert (sys.q_k, sys.path, sys.regularized) == (0, "direct", False)
+    r = random_lowrank(rng, 9, 9, 2)
+    for rhs in (alpha_rhs(eq, p, r), beta_rhs(eq, p, r)):
+        assert rhs.shape == (0, 0)
+        coeff, info = solve_reduced(sys, rhs)
+        assert coeff.shape == (0, 0)
+        assert info["path"] == "direct"
+
+
 def test_alpha_rhs_matches_dense_projection():
     rng = np.random.default_rng(6)
     eq = random_posdef_equation(rng, 11, 13, 3, 2)

@@ -387,7 +387,7 @@ def manufactured(shape, p):
 @pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
                                   PreconditionerSpec.two_term_adi()],
                          ids=["none", "one_term-0", "two_term_adi"])
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 9])
 @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (40, 12), (12, 40)],
                          ids=["64x1", "1x64", "40x12", "12x40"])
 def test_manufactured_solution_is_recovered(shape, p, spec, method):
@@ -407,6 +407,40 @@ def test_manufactured_solution_is_recovered(shape, p, spec, method):
     # Transposed, a two-term pair's row and column terms swap; one term keeps its index.
     mirrored = dataclasses.replace(spec, indices=spec.indices[::-1])
     _, rep_t = solve_quietly(transposed(eq), dataclasses.replace(cfg, preconditioner=mirrored))
+    assert rep_t.status == rep.status
+
+
+@pytest.mark.parametrize("method", ["ss_mr", "ss_gcr1"])
+@pytest.mark.parametrize("spec", [PreconditionerSpec.none(), PreconditionerSpec.one_term(0),
+                                  PreconditionerSpec.two_term_adi()],
+                         ids=["none", "one_term-0", "two_term_adi"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(64, 1), (1, 64), (40, 12), (12, 40)],
+                         ids=["64x1", "1x64", "40x12", "12x40"])
+def test_manufactured_solution_with_an_indefinite_leading_pair(shape, p, spec, method):
+    # (A - 6 I) X + X (B + 6 I) = A X + X B: the operator, X* and sigma_min
+    # stay those of the manufactured equation, but A_1 is indefinite.
+    eq, x_star, sigma_min = manufactured(shape, p)
+    (a, eye_b), (eye_a, b) = eq.terms[:2]
+    eq = MultitermEquation(terms=[(a - 6.0 * eye_a, eye_b), (eye_a, b + 6.0 * eye_b),
+                                  *eq.terms[2:]], C=eq.C, D=eq.D)
+    cfg = SolverConfig(method=method, tol=1e-8, maxit=40, sketch_seed=7, preconditioner=spec,
+                       truncation=TruncationConfig(maxrank=20))
+    mirrored = dataclasses.replace(cfg, preconditioner=dataclasses.replace(
+        spec, indices=spec.indices[::-1]))
+    if spec.kind == "two_term_adi":
+        for equation, config in ((eq, cfg), (transposed(eq), mirrored)):
+            with pytest.raises(ValueError, match="ADI needs a definite leading operator"):
+                solve(equation, config)
+        return
+    x, rep = solve_quietly(eq, cfg)
+    assert rep.status in ("converged", "maxit_reached", "stagnated", "breakdown")
+    res = true_residual(eq, x)
+    if rep.converged:
+        assert res <= cfg.tol
+    assert (np.linalg.norm(x.densify() - x_star)
+            <= 1.01 * res * eq.rhs_norm() / sigma_min)
+    _, rep_t = solve_quietly(transposed(eq), mirrored)
     assert rep_t.status == rep.status
 
 

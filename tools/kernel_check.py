@@ -5,8 +5,11 @@ in child processes, one after another: first with the inherited environment
 (the default run), then once per variant in :data:`VARIANTS`. A variant's
 variables are set on its own children only. For each variant the script
 prints its failing test ids next to the default run's, marking the ones the
-default run does not fail, and it exits 1 when any variant fails a test the
-default run passes (or its suite cannot run).
+default run does not fail, each above the first line of its failure message,
+and it exits 1 when any variant fails a test the default run passes (or its
+suite cannot run). The children run pytest at ``-vv``: below that, pytest
+trims a summary line to the terminal's width and drops the message of a
+long test id.
 
     python tools/kernel_check.py
 
@@ -37,33 +40,41 @@ VARIANTS = {
 SUITES = {"tier-1": ["tests"], "perfbench": ["perfbench/tests"]}
 
 #: A short-summary line: the test id, then `` - `` and the message when there is one.
-_SUMMARY = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$")
+_SUMMARY = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - (.*))?$")
 
 
-def run_suites(extra_env: dict[str, str]) -> tuple[list[str], list[str], float]:
-    """Run every suite once; return the failing ids, the suites that could
-    not run (a crash or a collection failure with no test id), and the wall time."""
+def run_suites(extra_env: dict[str, str]) -> tuple[dict[str, str], list[str], float]:
+    """Run every suite once; return the failing ids, each mapped to the
+    first line of its message, the suites that could not run (a crash or a
+    collection failure with no test id), and the wall time."""
     env = os.environ | extra_env
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    failed, broken, start = [], [], time.perf_counter()
+    failed, broken, start = {}, [], time.perf_counter()
     for suite, args in SUITES.items():
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors",
+            [sys.executable, "-m", "pytest", "-vv", "-rfE", "--continue-on-collection-errors",
              "-p", "no:cacheprovider", *args],
             cwd=ROOT, env=env, capture_output=True, text=True)
-        ids = [m.group(1) for m in map(_SUMMARY.match, proc.stdout.splitlines()) if m]
-        failed += ids
+        matches = filter(None, map(_SUMMARY.match, proc.stdout.splitlines()))
+        ids = {m.group(1): m.group(2) or "" for m in matches}
+        failed |= ids
         if proc.returncode not in (0, 1) or (proc.returncode == 1 and not ids):
             broken.append(f"{suite} (exit {proc.returncode})")
     return failed, broken, time.perf_counter() - start
 
 
+def _print_failure(line: str, message: str) -> None:
+    print(f"    {line}")
+    if message:
+        print(f"        {message[:200]}{'...' if len(message) > 200 else ''}")
+
+
 def main() -> int:
     default, broken, wall = run_suites({})
     print(f"default: {len(default)} failing ({wall:.0f} s)")
-    for test_id in default:
-        print(f"    {test_id}")
+    for test_id, message in default.items():
+        _print_failure(test_id, message)
     for name in broken:
         print(f"    could not run: {name}")
     clean = not broken
@@ -76,7 +87,7 @@ def main() -> int:
                 mark = "both" if test_id in default else "new"
             else:
                 mark = "default only"
-            print(f"    [{mark}] {test_id}")
+            _print_failure(f"[{mark}] {test_id}", failed.get(test_id, default.get(test_id)))
         for name in broken:
             print(f"    could not run: {name}")
         clean = clean and not broken and set(failed) <= set(default)
